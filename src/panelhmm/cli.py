@@ -62,6 +62,12 @@ def _load_data(y_path, x_path, missing_token):
     return panel, build_design(raw, panel.n_days)
 
 
+def _num(value) -> str:
+    """A numeric CSV cell: the shortest repr that round-trips the float.
+    Converting first keeps numpy's ``np.float64(...)`` repr out of files."""
+    return repr(float(value))
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SCHEMA_COMMENT + "\n")
@@ -105,6 +111,13 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
                  burnin=int, keep=int, seed=int, step_alpha=float,
                  step_beta=float, missing_token=str)
     panel, design = _load_data(y_path, x_path, p["missing_token"])
+    states_given = (ctx.get_parameter_source("states").name != "DEFAULT"
+                    or "states" in config)
+    if p["model_kind"] == "markov" and states_given and p["states"] != panel.m_levels:
+        raise InputError(
+            f"--states {p['states']}: a Markov model's states are the "
+            f"{panel.m_levels} observed levels"
+        )
     sampler_config = mcmc.SamplerConfig(
         n_chains=p["chains"], n_burnin=p["burnin"], n_keep=p["keep"],
         rw_step_alpha=p["step_alpha"], rw_step_beta=p["step_beta"],
@@ -177,17 +190,17 @@ def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
     _write_csv(
         os.path.join(out_dir, "convergence.csv"),
         ["parameter", "mean", "sd", "q025", "q975", "rhat", "ess"],
-        [[r["parameter"], repr(r["mean"]), repr(r["sd"]), repr(r["q025"]),
-          repr(r["q975"]),
-          "unavailable" if np.isnan(r["rhat"]) else repr(r["rhat"]),
-          repr(r["ess"])] for r in rows],
+        [[r["parameter"], _num(r["mean"]), _num(r["sd"]), _num(r["q025"]),
+          _num(r["q975"]),
+          "unavailable" if np.isnan(r["rhat"]) else _num(r["rhat"]),
+          _num(r["ess"])] for r in rows],
     )
     report = diagnostics.dic(chain_set, panel, design)
     _write_csv(
         os.path.join(out_dir, "dic.csv"),
         ["mean_deviance", "deviance_at_mean", "p_d", "dic"],
-        [[repr(report.mean_deviance), repr(report.deviance_at_mean),
-          repr(report.p_d), repr(report.dic)]],
+        [[_num(report.mean_deviance), _num(report.deviance_at_mean),
+          _num(report.p_d), _num(report.dic)]],
     )
     storage.write_manifest(out_dir, "diagnose", {},
                            {"y": y_path, "x": x_path}, None)
@@ -220,16 +233,16 @@ def ppc(fit_dir, y_path, x_path, mode, draws, missing_token, seed, out_dir):
     _write_csv(
         os.path.join(out_dir, "ppc_replicates.csv"),
         ["statistic", "draw", "value"],
-        [[r.name, g, repr(v)] for r in results
+        [[r.name, g, _num(v)] for r in results
          for g, v in enumerate(r.replicates)],
     )
     _write_csv(
         os.path.join(out_dir, "ppc_summary.csv"),
         ["statistic", "observed", "quantile", "rep_q025", "rep_median", "rep_q975"],
-        [[r.name, repr(r.observed), repr(r.quantile),
-          repr(float(np.nanquantile(r.replicates, 0.025))),
-          repr(float(np.nanquantile(r.replicates, 0.5))),
-          repr(float(np.nanquantile(r.replicates, 0.975)))] for r in results],
+        [[r.name, _num(r.observed), _num(r.quantile),
+          _num(np.nanquantile(r.replicates, 0.025)),
+          _num(np.nanquantile(r.replicates, 0.5)),
+          _num(np.nanquantile(r.replicates, 0.975))] for r in results],
     )
     storage.write_manifest(out_dir, "ppc", {"mode": mode, "draws": draws},
                            {"y": y_path, "x": x_path}, seed)
@@ -273,11 +286,11 @@ def apc(fit_dir, x_path, days, kind, out_dir):
                 values = analytics.average_stationary_difference(
                     chain_set, design, request)
                 label = f"Bstat[{target[1]}]({name})"
-            draws_rows.extend([label, g, repr(v)] for g, v in enumerate(values))
+            draws_rows.extend([label, g, _num(v)] for g, v in enumerate(values))
             summary_rows.append([
-                label, repr(float(values.mean())),
-                repr(float(np.quantile(values, 0.025))),
-                repr(float(np.quantile(values, 0.975))),
+                label, _num(values.mean()),
+                _num(np.quantile(values, 0.025)),
+                _num(np.quantile(values, 0.975)),
             ])
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "apc_draws.csv"),
@@ -311,7 +324,7 @@ def viterbi(fit_dir, y_path, x_path, missing_token, out_dir):
             observed = (missing_token if panel.mask[i, t]
                         else str(panel.codes[i, t]))
             rows.append([i, t + 1, observed, int(path.states[t])]
-                        + [repr(float(marginals[i, t, s])) for s in range(S)])
+                        + [_num(marginals[i, t, s]) for s in range(S)])
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "viterbi.csv"),

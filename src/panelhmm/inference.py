@@ -175,6 +175,29 @@ def log_likelihood_markov(panel: ObservationPanel, design: DesignMatrix,
     return float(ll)
 
 
+def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
+                              params, rng: np.random.Generator) -> tuple:
+    """One data-augmentation draw and log p(Y_obs | params), both from a
+    single forward filter.
+
+    HMM parameters give the hidden grid of :func:`ffbs_sample_hidden`;
+    Markov parameters give the complete panel with every missing run
+    imputed and observed cells unchanged.  The log-likelihood is the same
+    filter's scaling factors summed the same way as in
+    :func:`log_likelihood_hmm` / :func:`log_likelihood_markov`, so it equals
+    them bit for bit.
+    """
+    hmm = isinstance(params, HmmParams)
+    L = _hmm_factors(panel, params) if hmm else _markov_factors(panel, params.m_levels)
+    Q = transition_matrices(params, design)
+    filtered, scaling = _filter_all(L, Q, params.pi)
+    draw = _backward_sample_all(filtered, Q, rng)
+    if not hmm:
+        obs = ~panel.mask
+        draw[obs] = panel.codes[obs]
+    return draw, float(_log_scaling(scaling).sum())
+
+
 def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
                        params: HmmParams, rng: np.random.Generator) -> np.ndarray:
     """Draw the hidden-state grid from p(H | Y_obs, theta).
@@ -182,10 +205,7 @@ def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
     States are drawn for every day, including days with missing
     observations.  Returns an (N, T) array of 1-based states.
     """
-    L = _hmm_factors(panel, params)
-    Q = transition_matrices(params, design)
-    filtered, _ = _filter_all(L, Q, params.pi)
-    return _backward_sample_all(filtered, Q, rng)
+    return _draw_with_log_likelihood(panel, design, params, rng)[0]
 
 
 def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,

@@ -16,7 +16,11 @@ All three run through the same draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .model import (
     HmmParams,
     MarkovParams,
     inverse_softmax,
-    transition_matrices,
 )
 
 TARGET_ACCEPTANCE = 0.44  # optimal for univariate random-walk proposals
@@ -558,13 +561,7 @@ def sample_missing_y(params: MarkovParams, panel: ObservationPanel,
     """Impute every missing run from its exact conditional given the
     flanking observed values (forward filter / backward sample over the
     observation-level chain).  Observed cells are returned unchanged."""
-    L = inference._markov_factors(panel, params.m_levels)
-    Q = transition_matrices(params, design)
-    filtered, _ = inference._filter_all(L, Q, params.pi)
-    complete = inference._backward_sample_all(filtered, Q, rng)
-    obs = ~panel.mask
-    complete[obs] = panel.codes[obs]
-    return complete
+    return inference._draw_with_log_likelihood(panel, design, params, rng)[0]
 
 
 # -- chain orchestration ----------------------------------------------------
@@ -576,29 +573,22 @@ def _deviance(model_kind: str, panel, design, params) -> float:
 
 
 def run_chain(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
-              prior: PriorSpec, config: SamplerConfig, chain_index: int = 0,
-              init_params=None) -> Chain:
-    """Run one chain and return its post-burn-in draws.
+              prior: PriorSpec, config: SamplerConfig, init_params,
+              chain_index: int = 0) -> Chain:
+    """Run one chain from ``init_params`` and return its post-burn-in draws.
 
-    Fully reproducible from ``(config.seed, chain_index)``.  Hidden-state
-    storage follows ``config.store_hidden``: by default only the final
-    iteration's grid and an occupancy tally are kept.
+    Fully reproducible from ``(config.seed, chain_index)`` and the start,
+    which :func:`run_chains` builds with :func:`init_chain`.  Each kept
+    draw's deviance comes from the next sweep's forward filter, which runs
+    on exactly that draw's parameters; only the last kept draw needs a
+    likelihood pass of its own.  Hidden-state storage follows
+    ``config.store_hidden``: by default only the final iteration's grid
+    and an occupancy tally are kept.
     """
     if model_kind not in ("hmm", "markov"):
         raise InputError(f"unknown model kind {model_kind!r}")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, chain_index)))
-    if init_params is None:
-        # default state count: one hidden state per observed level
-        if model_kind == "hmm":
-            anchor = em_initialize(panel, S=panel.m_levels)
-        else:
-            anchor = empirical_markov_fit(panel)
-        params = init_chain(anchor, panel.n_subjects, design.p,
-                            chain_index=chain_index,
-                            jitter_scale=config.jitter_scale,
-                            model_kind=model_kind, seed=config.seed)
-    else:
-        params = init_params.copy()
+    params = init_params.copy()
     R, K, p = params.beta.shape
     steps_alpha = np.full((R, K), config.rw_step_alpha)
     steps_beta = np.full((R, K, p), config.rw_step_beta)
@@ -616,11 +606,11 @@ def run_chain(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     hidden = None
     adapt_round = 0
     for g in range(n_total):
+        seq, loglik = inference._draw_with_log_likelihood(panel, design, params, rng)
+        if g > config.n_burnin:  # params are still kept draw g - 1
+            deviance[g - 1 - config.n_burnin] = -2.0 * loglik
         if model_kind == "hmm":
-            hidden = inference.ffbs_sample_hidden(panel, design, params, rng)
-            seq = hidden
-        else:
-            seq = sample_missing_y(params, panel, design, rng)
+            hidden = seq
         acc_a = update_alpha(params, seq, design, prior, rng, steps_alpha)
         acc_b = update_beta(params, seq, design, prior, rng, steps_beta)
         update_mu(params, prior, rng)
@@ -649,13 +639,13 @@ def run_chain(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
             acc_alpha_kept += acc_a
             acc_beta_kept += acc_b
             for name in kept:
-                kept[name].append(getattr(params, name if name != "P" else "P").copy())
-            deviance[g - config.n_burnin] = _deviance(model_kind, panel, design, params)
+                kept[name].append(getattr(params, name).copy())
             if occupancy is not None:
                 idx = np.eye(params.n_states)[hidden - 1]
                 occupancy += idx
             if hidden_trace is not None:
                 hidden_trace.append(hidden.copy())
+    deviance[-1] = _deviance(model_kind, panel, design, params)
     draws = {name: np.stack(values) for name, values in kept.items()}
     return Chain(
         model_kind=model_kind,
@@ -680,9 +670,14 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
 
     Chains share the pooled anchor fit but receive per-chain jitter; each
     chain's output depends only on ``(config.seed, chain_index)``, so the
-    result is invariant to execution order.  ``n_states`` defaults to the
-    number of observed levels (HMM only; the Markov model's rows are the
-    levels themselves).
+    result is invariant to execution order.  The chains run in worker
+    processes forked from this one, at most one per usable CPU; with one
+    usable CPU, one chain, or no ``fork`` start method they run here, one
+    after another.  Either way the output is the same bit for bit, with
+    the chains in ``chain_index`` order, and an error raised in a chain
+    reaches the caller as the same exception type.  ``n_states`` defaults
+    to the number of observed levels (HMM only; the Markov model's rows
+    are the levels themselves).
     """
     prior = prior or PriorSpec()
     config = config or SamplerConfig()
@@ -692,14 +687,32 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
         anchor = empirical_markov_fit(panel)
     else:
         raise InputError(f"unknown model kind {model_kind!r}")
-    chains = []
-    for c in range(config.n_chains):
-        init = init_chain(anchor, panel.n_subjects, design.p, chain_index=c,
-                          jitter_scale=config.jitter_scale,
-                          model_kind=model_kind, seed=config.seed)
-        chains.append(run_chain(model_kind, panel, design, prior, config,
-                                chain_index=c, init_params=init))
+    starts = [init_chain(anchor, panel.n_subjects, design.p, chain_index=c,
+                         jitter_scale=config.jitter_scale,
+                         model_kind=model_kind, seed=config.seed)
+              for c in range(config.n_chains)]
+    run = functools.partial(run_chain, model_kind, panel, design, prior, config)
+    indices = range(config.n_chains)
+    workers = _chain_workers(config.n_chains)
+    if workers == 1:
+        chains = list(map(run, starts, indices))
+    else:
+        # fork: spawn and forkserver start each worker by re-importing the
+        # caller's main module, which re-runs a script without a __main__
+        # guard, and they start slower
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            chains = list(pool.map(run, starts, indices))
     return ChainSet(model_kind=model_kind, chains=chains)
+
+
+def _chain_workers(n_chains: int) -> int:
+    """Worker processes for ``n_chains`` chains: one per chain, capped at
+    the CPUs this process may run on; 1 means run in process."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(n_chains, len(os.sched_getaffinity(0)))
 
 
 def sample_params_from_prior(prior: PriorSpec, n_subjects: int, n_rows: int,

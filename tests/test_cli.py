@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from panelhmm import cli
 from panelhmm.cli import main
-from panelhmm.dataset import ObservationPanel, load_observations, save_observations
+from panelhmm.dataset import (
+    DesignMatrix,
+    ObservationPanel,
+    load_observations,
+    save_observations,
+)
 from panelhmm.model import save_params
 
 from conftest import random_hmm_params, trial_design
@@ -104,6 +110,42 @@ class TestFit:
         ])
         assert code == 2
 
+    def test_markov_states_must_match_levels(self, workspace, tmp_path):
+        def fit_markov(extra, out):
+            return main([
+                "fit", "--y", str(workspace / "y.csv"),
+                "--x", str(workspace / "x.csv"), "--model", "markov",
+                "--chains", "1", "--burnin", "2", "--keep", "2",
+                "--out", str(tmp_path / out)] + extra)
+
+        assert fit_markov(["--states", "4"], "four") == 2
+        assert not (tmp_path / "four").exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("states = 2\n")
+        assert fit_markov(["--config", str(cfg)], "cfg") == 2
+        assert fit_markov(["--states", "3"], "three") == 0
+
+    def test_numerical_failure_in_chain_exits_3(self, workspace, tmp_path,
+                                                 monkeypatch):
+        build = cli.build_design
+
+        def nan_design(raw, n_days):
+            design = build(raw, n_days)
+            values = design.values.copy()
+            values[0, 0, 0] = np.nan
+            return DesignMatrix(values=values,
+                                standardizations=design.standardizations,
+                                names=design.names)
+
+        monkeypatch.setattr(cli, "build_design", nan_design)
+        code = main([
+            "fit", "--y", str(workspace / "y.csv"),
+            "--x", str(workspace / "x.csv"),
+            "--chains", "2", "--burnin", "2", "--keep", "2",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+
     def test_invalid_data_exits_2(self, workspace, tmp_path):
         y_bad = tmp_path / "y.csv"
         y_bad.write_text("1,2,9\n")
@@ -183,6 +225,25 @@ class TestApc:
         body = (out / "apc_summary.csv").read_text()
         assert "Bstat[1](treatment)" in body
         assert "(time)" not in body
+
+
+def test_outputs_hold_plain_numbers(workspace, fitted, tmp_path):
+    """No numpy scalar repr such as ``np.float64(0.25)`` in any output."""
+    y, x, fit = str(workspace / "y.csv"), str(workspace / "x.csv"), str(fitted)
+    runs = {
+        "diagnose": ["diagnose", "--fit", fit, "--y", y, "--x", x],
+        "ppc": ["ppc", "--fit", fit, "--y", y, "--x", x, "--draws", "4"],
+        "apc": ["apc", "--fit", fit, "--x", x, "--days", "15"],
+        "apc_stat": ["apc", "--fit", fit, "--x", x, "--days", "15",
+                     "--kind", "stationary"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        files = sorted(out.glob("*.csv"))
+        assert files
+        for path in files:
+            assert "np." not in path.read_text(), path.name
 
 
 class TestViterbiCommand:

@@ -1,9 +1,13 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from panelhmm.dataset import ObservationPanel
-from panelhmm.errors import InputError
+from panelhmm import inference, mcmc
+from panelhmm.dataset import DesignMatrix, ObservationPanel
+from panelhmm.errors import InputError, NumericalError
 from panelhmm.mcmc import (
     Chain,
     ChainSet,
@@ -488,6 +492,110 @@ class TestChainOrchestration:
         with pytest.raises(InputError):
             run_chains("semi-markov", panel, design,
                        config=SamplerConfig(n_chains=1, n_burnin=1, n_keep=1))
+
+
+def _start(model_kind, panel, design, config, chain_index):
+    """The start run_chains gives chain ``chain_index``."""
+    if model_kind == "hmm":
+        anchor = em_initialize(panel, S=panel.m_levels)
+    else:
+        anchor = empirical_markov_fit(panel)
+    return init_chain(anchor, panel.n_subjects, design.p, chain_index=chain_index,
+                      jitter_scale=config.jitter_scale, model_kind=model_kind,
+                      seed=config.seed)
+
+
+def _assert_same(a, b):
+    if b is None:
+        assert a is None
+    else:
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
+                    or not hasattr(os, "sched_getaffinity"),
+                    reason="the chain pool needs fork and CPU affinity")
+class TestChainPool:
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Force one worker process per chain, whatever the CPU count."""
+        monkeypatch.setattr(mcmc, "_chain_workers", lambda n_chains: n_chains)
+
+    @pytest.mark.parametrize("model_kind", ["hmm", "markov"])
+    def test_pooled_equals_in_process(self, rng, pooled, model_kind):
+        panel, design, _ = random_instance(rng, n_subjects=6, n_days=20,
+                                           missing_rate=0.1)
+        # 50 burn-in sweeps: one step-size adaptation round
+        config = SamplerConfig(n_chains=3, n_burnin=50, n_keep=8, seed=11,
+                               store_hidden=True)
+        cs = run_chains(model_kind, panel, design, config=config)
+        assert [c.chain_index for c in cs.chains] == [0, 1, 2]
+        for c, chain in enumerate(cs.chains):
+            ref = run_chain(model_kind, panel, design, PriorSpec(), config,
+                            _start(model_kind, panel, design, config, c),
+                            chain_index=c)
+            assert chain.draws.keys() == ref.draws.keys()
+            for name in ref.draws:
+                np.testing.assert_array_equal(chain.draws[name], ref.draws[name])
+            np.testing.assert_array_equal(chain.deviance, ref.deviance)
+            assert chain.acceptance.keys() == ref.acceptance.keys()
+            for name in ref.acceptance:
+                np.testing.assert_array_equal(chain.acceptance[name],
+                                              ref.acceptance[name])
+            _assert_same(chain.hidden_occupancy, ref.hidden_occupancy)
+            _assert_same(chain.final_hidden, ref.final_hidden)
+            _assert_same(chain.hidden_trace, ref.hidden_trace)
+        if model_kind == "hmm":
+            assert cs.chains[0].hidden_trace.shape == (8, 6, 20)
+
+    def test_workers_capped_by_chains_and_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert mcmc._chain_workers(1) == 1
+        assert mcmc._chain_workers(cpus + 5) == cpus
+        assert mcmc._chain_workers(2) == min(2, cpus)
+
+    def test_worker_error_reaches_caller(self, rng, pooled):
+        panel, design, _ = random_instance(rng, n_subjects=6, n_days=20)
+        values = design.values.copy()
+        values[0, 0, 0] = np.nan
+        bad = DesignMatrix(values=values, standardizations=(), names=design.names)
+        config = SamplerConfig(n_chains=2, n_burnin=2, n_keep=2)
+        with pytest.raises(NumericalError):
+            run_chains("hmm", panel, bad, config=config)
+
+
+class TestDevianceReuse:
+    @pytest.mark.parametrize("model_kind", ["hmm", "markov"])
+    @pytest.mark.parametrize("n_burnin, n_keep", [(7, 6), (0, 5), (4, 1), (0, 1)])
+    def test_every_deviance_is_exact(self, rng, model_kind, n_burnin, n_keep):
+        panel, design, _ = random_instance(rng, n_subjects=5, n_days=15,
+                                           missing_rate=0.2)
+        config = SamplerConfig(n_chains=1, n_burnin=n_burnin, n_keep=n_keep, seed=2)
+        chain = run_chain(model_kind, panel, design, PriorSpec(), config,
+                          _start(model_kind, panel, design, config, 0))
+        loglik = (log_likelihood_hmm if model_kind == "hmm"
+                  else log_likelihood_markov)
+        assert chain.deviance.shape == (n_keep,)
+        for g in range(n_keep):
+            expected = -2.0 * loglik(panel, design, chain.params_at(g))
+            assert chain.deviance[g] == expected
+
+    @pytest.mark.parametrize("model_kind", ["hmm", "markov"])
+    def test_one_full_likelihood_call_per_chain(self, rng, monkeypatch, model_kind):
+        panel, design, _ = random_instance(rng, n_subjects=5, n_days=15)
+        config = SamplerConfig(n_chains=1, n_burnin=3, n_keep=6, seed=4)
+        start = _start(model_kind, panel, design, config, 0)
+        name = f"log_likelihood_{model_kind}"
+        original = getattr(inference, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, counted)
+        run_chain(model_kind, panel, design, PriorSpec(), config, start)
+        assert len(calls) == 1
 
 
 class TestPriorSampling:
