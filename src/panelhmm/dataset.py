@@ -109,8 +109,8 @@ class RawCovariates:
                 raise InputError(f"{name} must be binary (0/1)")
         for name in ("d_drink", "d_heavy"):
             a = arrays[name]
-            if np.any(a < 0) or np.any(a > 1):
-                raise InputError(f"{name} must lie in [0, 1]")
+            if not np.all((a >= 0) & (a <= 1)):  # NaN fails both comparisons
+                raise InputError(f"{name} must be a number in [0, 1]")
         if np.any(arrays["d_heavy"] > arrays["d_drink"] + 1e-12):
             raise InputError("d_heavy cannot exceed d_drink")
         for name, a in arrays.items():

@@ -45,11 +45,11 @@ class ViterbiPath:
     log_joint: float
 
 
-def _hmm_factors(panel: ObservationPanel, params: HmmParams) -> np.ndarray:
-    """Likelihood factors L[i, t, s] = p(y_it | H_it = s), 1 on missing days."""
-    L = params.P.T[np.clip(panel.codes, 1, None) - 1]  # (N, T, S)
-    L = np.where(panel.mask[:, :, None], 1.0, L)
-    return L
+def _hmm_factors(panel: ObservationPanel, P: np.ndarray) -> np.ndarray:
+    """Likelihood factors L[i, t, s] = p(y_it | H_it = s) under the (S, M)
+    emissions ``P``, 1 on missing days."""
+    L = P.T[np.clip(panel.codes, 1, None) - 1]  # (N, T, S)
+    return np.where(panel.mask[:, :, None], 1.0, L)
 
 
 def _markov_factors(panel: ObservationPanel, m_levels: int) -> np.ndarray:
@@ -129,7 +129,7 @@ def _log_scaling(scaling: np.ndarray) -> np.ndarray:
 def forward_backward(panel: ObservationPanel, design: DesignMatrix,
                      params: HmmParams) -> ForwardBackwardResult:
     """Full filtering/smoothing pass for the HMM."""
-    L = _hmm_factors(panel, params)
+    L = _hmm_factors(panel, params.P)
     Q = transition_matrices(params, design)
     filtered, scaling = _filter_all(L, Q, params.pi)
     smoothed = _backward_smooth(L, Q, filtered)
@@ -142,7 +142,7 @@ def forward_backward(panel: ObservationPanel, design: DesignMatrix,
 def log_likelihood_hmm(panel: ObservationPanel, design: DesignMatrix,
                        params: HmmParams) -> float:
     """log p(Y_obs | theta), hidden states marginalized exactly."""
-    L = _hmm_factors(panel, params)
+    L = _hmm_factors(panel, params.P)
     Q = transition_matrices(params, design)
     _, scaling = _filter_all(L, Q, params.pi)
     return float(_log_scaling(scaling).sum())
@@ -188,7 +188,7 @@ def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
     them bit for bit.
     """
     hmm = isinstance(params, HmmParams)
-    L = _hmm_factors(panel, params) if hmm else _markov_factors(panel, params.m_levels)
+    L = _hmm_factors(panel, params.P) if hmm else _markov_factors(panel, params.m_levels)
     Q = transition_matrices(params, design)
     filtered, scaling = _filter_all(L, Q, params.pi)
     draw = _backward_sample_all(filtered, Q, rng)
@@ -216,32 +216,32 @@ def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
 
 def viterbi(panel: ObservationPanel, design: DesignMatrix,
             params: HmmParams) -> list[ViterbiPath]:
-    """Most likely hidden path per subject (max-product DP).
+    """Most likely hidden path per subject (max-product DP, all subjects
+    at once).
 
     Missing days contribute transition terms only.  Ties are broken toward
     the lower state index.
     """
-    L = _hmm_factors(panel, params)
+    L = _hmm_factors(panel, params.P)
     Q = transition_matrices(params, design)
     N, T, S = L.shape
     with np.errstate(divide="ignore"):
         logL = np.log(L)
         logQ = np.log(Q)
         logpi = np.log(params.pi)
-    paths = []
-    for i in range(N):
-        delta = logpi + logL[i, 0]
-        back = np.zeros((T, S), dtype=np.int64)
-        for t in range(1, T):
-            cand = delta[:, None] + logQ[i, t - 1]  # (from, to)
-            back[t] = cand.argmax(axis=0)  # first max: lower-state tie break
-            delta = cand[back[t], np.arange(S)] + logL[i, t]
-        states = np.empty(T, dtype=np.int64)
-        states[T - 1] = int(delta.argmax())
-        for t in range(T - 1, 0, -1):
-            states[t - 1] = back[t, states[t]]
-        paths.append(ViterbiPath(states=states + 1, log_joint=float(delta.max())))
-    return paths
+    delta = logpi + logL[:, 0]  # (N, S)
+    back = np.zeros((N, T, S), dtype=np.int64)
+    for t in range(1, T):
+        cand = delta[:, :, None] + logQ[:, t - 1]  # (N, from, to)
+        back[:, t] = cand.argmax(axis=1)  # first max: lower-state tie break
+        delta = cand.max(axis=1) + logL[:, t]
+    rows = np.arange(N)
+    states = np.empty((N, T), dtype=np.int64)
+    states[:, T - 1] = delta.argmax(axis=1)
+    for t in range(T - 1, 0, -1):
+        states[:, t - 1] = back[rows, t, states[:, t]]
+    return [ViterbiPath(states=s + 1, log_joint=float(d))
+            for s, d in zip(states, delta.max(axis=1))]
 
 
 def log_joint_hmm(panel: ObservationPanel, design: DesignMatrix,
@@ -268,27 +268,18 @@ def pointwise_predictive(panel: ObservationPanel, design: DesignMatrix,
     ``one_step`` (HMM parameters): p(y_t | y_{1..t-1}, theta) from the
     forward recursion.  ``markov`` (Markov parameters): p(y_t | previous
     observed value, theta), with multi-step transitions across gaps.
-    Missing cells are reported as NaN.
+    Either is the forward filter's normalizer of that day.  Missing cells
+    are reported as NaN.
     """
     if mode == "one_step":
         if not isinstance(params, HmmParams):
             raise TypeError("one_step mode requires HMM parameters")
-        L = _hmm_factors(panel, params)
+        L = _hmm_factors(panel, params.P)
     elif mode == "markov":
         if not isinstance(params, MarkovParams):
             raise TypeError("markov mode requires Markov parameters")
         L = _markov_factors(panel, params.m_levels)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    Q = transition_matrices(params, design)
-    N, T, R = L.shape
-    out = np.full((N, T), np.nan)
-    pred = np.broadcast_to(params.pi, (N, R)).copy()
-    filtered, _ = _filter_all(L, Q, params.pi)
-    obs = ~panel.mask
-    out[obs[:, 0], 0] = (pred * L[:, 0]).sum(axis=1)[obs[:, 0]]
-    for t in range(1, T):
-        pred = np.einsum("nr,nrs->ns", filtered[:, t - 1], Q[:, t - 1])
-        prob = (pred * L[:, t]).sum(axis=1)
-        out[obs[:, t], t] = prob[obs[:, t]]
-    return out
+    _, scaling = _filter_all(L, transition_matrices(params, design), params.pi)
+    return np.where(panel.mask, np.nan, scaling)

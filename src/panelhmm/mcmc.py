@@ -6,6 +6,11 @@ random-walk Metropolis on the random intercepts and fixed effects, and
 exact conjugate draws for the intercept means/sds, the initial
 distribution, and the emission rows.
 
+All four Metropolis moves (intercepts, fixed effects, and the joint
+scale and location moves) take one path: ``_RowData.propose`` shifts a
+target's logits and prices the shift, ``_accept`` runs the Metropolis
+test, and ``_RowData.adopt`` keeps the shift where it was accepted.
+
 Sigma prior note: the default prior is flat on sigma (not sigma^2).  With
 n intercepts and sum of squares SS around mu, the induced full
 conditional is sigma^2 ~ SS / chi^2_{n-1}; flat-on-sigma^2 gives n-2
@@ -238,8 +243,7 @@ def em_initialize(panel: ObservationPanel, S: int, tol: float = 1e-8,
     obs_onehot[obs] = eye[panel.codes[obs] - 1]
     lls = []
     for _ in range(max_iter):
-        L = P.T[np.clip(panel.codes, 1, None) - 1]
-        L = np.where(panel.mask[:, :, None], 1.0, L)
+        L = inference._hmm_factors(panel, P)
         Q = np.broadcast_to(A, (N, T - 1, S, S))
         filtered, scaling = inference._filter_all(L, Q, pi)
         ll = float(inference._log_scaling(scaling).sum())
@@ -316,113 +320,111 @@ def init_chain(em_fit: EmFit, n_subjects: int, n_covariates: int,
 class _RowData:
     """Sufficient structure for one transition row given complete sequences:
     the points (subject, day) whose row value matches, their design
-    vectors, targets, and current logits."""
+    vectors, targets, and current logits and log-denominators.
+
+    Every Metropolis move shifts the logits of one target: :meth:`propose`
+    prices the shift and :meth:`adopt` keeps it where it was accepted."""
 
     def __init__(self, params, seq: np.ndarray, design: DesignMatrix, row: int):
-        self.row = row
         i_arr, t_arr = np.nonzero(seq[:, :-1] == row)
         self.i_arr = i_arr
         self.X = design.values[i_arr, t_arr]          # (n_pts, p)
         self.target = seq[i_arr, t_arr + 1]           # 1-based
         r = row - 1
         self.eta = params.alpha[i_arr, r] + self.X @ params.beta[r].T  # (n_pts, K)
-        self.log_denom = self._full_log_denom(self.eta)
+        self.log_denom = np.zeros(i_arr.size)
+        for k in range(self.eta.shape[1]):
+            self.log_denom = np.logaddexp(self.log_denom, self.eta[:, k])
 
-    @staticmethod
-    def _full_log_denom(eta: np.ndarray) -> np.ndarray:
-        out = np.zeros(eta.shape[0])
-        for k in range(eta.shape[1]):
-            out = np.logaddexp(out, eta[:, k])
-        return out
+    def propose(self, k: int, d) -> tuple:
+        """Shift target k's logit by ``d``, a scalar or one value per point.
 
-    def log_denom_with(self, k: int, eta_k_new: np.ndarray) -> np.ndarray:
-        out = eta_k_new.copy()
+        Returns the shifted logits, their log-denominators and the
+        per-point change of the complete-data log-likelihood.
+        """
+        eta_k = self.eta[:, k] + d
+        log_denom = eta_k
         for j in range(self.eta.shape[1]):
-            if j == k:
-                continue
-            out = np.logaddexp(out, self.eta[:, j])
-        return np.logaddexp(out, 0.0)
+            if j != k:
+                log_denom = np.logaddexp(log_denom, self.eta[:, j])
+        log_denom = np.logaddexp(log_denom, 0.0)
+        dll = np.where(self.target == k + 2, d, 0.0) - log_denom + self.log_denom
+        return eta_k, log_denom, dll
+
+    def adopt(self, k: int, eta_k: np.ndarray, log_denom: np.ndarray,
+              at=slice(None)) -> None:
+        """Keep a :meth:`propose` shift of target k at the points ``at``."""
+        self.eta[at, k] = eta_k[at]
+        self.log_denom[at] = log_denom[at]
 
 
-def _check_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+def _blocks(params, seq: np.ndarray, design: DesignMatrix):
+    """Yield ``(row cache, r, k)`` for every (row, target) block, row by
+    row; each row's cache is built from the parameters as they stand when
+    its first block comes up."""
+    R, K = params.mu.shape
+    for r in range(R):
+        data = _RowData(params, seq, design, r + 1)
+        for k in range(K):
+            yield data, r, k
+
+
+def _accept(name: str, log_ratio, rng: np.random.Generator):
+    """Metropolis test of one proposal, or of one per entry of an array
+    ``log_ratio``; a non-finite ratio is a numerical error."""
+    if not np.all(np.isfinite(log_ratio)):
         raise NumericalError(f"non-finite posterior quantity in {name} update")
+    return np.log(rng.random(np.shape(log_ratio) or None)) < log_ratio
 
 
 def update_alpha(params, seq: np.ndarray, design: DesignMatrix, prior: PriorSpec,
-                 rng: np.random.Generator, steps=None) -> np.ndarray:
+                 rng: np.random.Generator, steps) -> np.ndarray:
     """Random-walk Metropolis update of every random intercept.
 
     ``seq`` is the complete (N, T) grid of row values (hidden states for
     the HMM, complete observations for the Markov model).  Proposals for a
     given (row, target) block are made jointly across subjects, which is
     valid because the intercepts are conditionally independent given the
-    fixed effects.  Returns the (R, K) acceptance fractions.
+    fixed effects.  ``steps`` holds the (R, K) proposal sds.  Returns the
+    (R, K) acceptance fractions.
     """
     N, R, K = params.alpha.shape
-    if steps is None:
-        steps = np.full((R, K), 0.4)
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (R, K))
     acc = np.zeros((R, K))
-    for row in range(1, R + 1):
-        data = _RowData(params, seq, design, row)
-        r = row - 1
-        for k in range(K):
-            target_state = k + 2
-            d = steps[r, k] * rng.standard_normal(N)
-            eta_new = data.eta[:, k] + d[data.i_arr]
-            ld_new = data.log_denom_with(k, eta_new)
-            dll_pts = np.where(data.target == target_state, d[data.i_arr], 0.0)
-            dll_pts = dll_pts - ld_new + data.log_denom
-            dll = np.bincount(data.i_arr, weights=dll_pts, minlength=N)
-            a_old = params.alpha[:, r, k]
-            a_new = a_old + d
-            sig2 = params.sigma[r, k] ** 2
-            dprior = ((a_old - params.mu[r, k]) ** 2
-                      - (a_new - params.mu[r, k]) ** 2) / (2.0 * sig2)
-            log_ratio = dll + dprior
-            _check_finite("alpha", log_ratio)
-            accept = np.log(rng.random(N)) < log_ratio
-            params.alpha[accept, r, k] = a_new[accept]
-            acc_pts = accept[data.i_arr]
-            data.eta[acc_pts, k] = eta_new[acc_pts]
-            data.log_denom[acc_pts] = ld_new[acc_pts]
-            acc[r, k] = accept.mean()
+    for data, r, k in _blocks(params, seq, design):
+        d = steps[r, k] * rng.standard_normal(N)
+        eta_k, log_denom, dll = data.propose(k, d[data.i_arr])
+        a_old = params.alpha[:, r, k]
+        a_new = a_old + d
+        dprior = ((a_old - params.mu[r, k]) ** 2
+                  - (a_new - params.mu[r, k]) ** 2) / (2.0 * params.sigma[r, k] ** 2)
+        dll = np.bincount(data.i_arr, weights=dll, minlength=N)
+        accept = _accept("alpha", dll + dprior, rng)
+        params.alpha[accept, r, k] = a_new[accept]
+        data.adopt(k, eta_k, log_denom, accept[data.i_arr])
+        acc[r, k] = accept.mean()
     return acc
 
 
 def update_beta(params, seq: np.ndarray, design: DesignMatrix, prior: PriorSpec,
-                rng: np.random.Generator, steps=None) -> np.ndarray:
-    """Univariate random-walk Metropolis update of every fixed effect.
-    Returns the (R, K, p) acceptance indicators (0 or 1 per scalar)."""
+                rng: np.random.Generator, steps) -> np.ndarray:
+    """Univariate random-walk Metropolis update of every fixed effect, with
+    the (R, K, p) proposal sds ``steps``.  Returns the (R, K, p) acceptance
+    indicators (0 or 1 per scalar)."""
     R, K, p = params.beta.shape
-    if steps is None:
-        steps = np.full((R, K, p), 0.1)
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (R, K, p))
     acc = np.zeros((R, K, p))
-    for row in range(1, R + 1):
-        data = _RowData(params, seq, design, row)
-        r = row - 1
-        for k in range(K):
-            target_state = k + 2
-            is_target = data.target == target_state
-            for j in range(p):
-                db = steps[r, k, j] * rng.standard_normal()
-                xcol = data.X[:, j]
-                eta_new = data.eta[:, k] + xcol * db
-                ld_new = data.log_denom_with(k, eta_new)
-                dll = float(np.sum(np.where(is_target, xcol * db, 0.0)
-                                   - ld_new + data.log_denom))
-                b_old = params.beta[r, k, j]
-                b_new = b_old + db
-                dprior = (b_old ** 2 - b_new ** 2) / (2.0 * prior.beta_sd ** 2)
-                log_ratio = dll + dprior
-                _check_finite("beta", log_ratio)
-                if np.log(rng.random()) < log_ratio:
-                    params.beta[r, k, j] = b_new
-                    data.eta[:, k] = eta_new
-                    data.log_denom = ld_new
-                    acc[r, k, j] = 1.0
+    for data, r, k in _blocks(params, seq, design):
+        for j in range(p):
+            db = steps[r, k, j] * rng.standard_normal()
+            eta_k, log_denom, dll = data.propose(k, data.X[:, j] * db)
+            b_old = params.beta[r, k, j]
+            b_new = b_old + db
+            dprior = (b_old ** 2 - b_new ** 2) / (2.0 * prior.beta_sd ** 2)
+            if _accept("beta", float(np.sum(dll)) + dprior, rng):
+                params.beta[r, k, j] = b_new
+                data.adopt(k, eta_k, log_denom)
+                acc[r, k, j] = 1.0
     return acc
 
 
@@ -471,33 +473,22 @@ def update_scale_joint(params, seq: np.ndarray, design: DesignMatrix,
     narrow-sigma funnel that coordinatewise updates cross only slowly.
     Returns the (R, K) acceptance indicators.
     """
-    N, R, K = params.alpha.shape
-    acc = np.zeros((R, K))
-    for row in range(1, R + 1):
-        data = _RowData(params, seq, design, row)
-        r = row - 1
-        for k in range(K):
-            target_state = k + 2
-            sigma_old = params.sigma[r, k]
-            factor = float(np.exp(step * rng.standard_normal()))
-            sigma_new = sigma_old * factor
-            d = (factor - 1.0) * (params.alpha[:, r, k] - params.mu[r, k])
-            eta_new = data.eta[:, k] + d[data.i_arr]
-            ld_new = data.log_denom_with(k, eta_new)
-            dll = float(np.sum(
-                np.where(data.target == target_state, d[data.i_arr], 0.0)
-                - ld_new + data.log_denom))
-            log_ratio = (dll
-                         + _log_prior_sigma(prior, sigma_new)
-                         - _log_prior_sigma(prior, sigma_old)
-                         + np.log(factor))
-            _check_finite("scale", log_ratio)
-            if np.log(rng.random()) < log_ratio:
-                params.sigma[r, k] = sigma_new
-                params.alpha[:, r, k] += d
-                data.eta[:, k] = eta_new
-                data.log_denom = ld_new
-                acc[r, k] = 1.0
+    acc = np.zeros(params.mu.shape)
+    for data, r, k in _blocks(params, seq, design):
+        sigma_old = params.sigma[r, k]
+        factor = float(np.exp(step * rng.standard_normal()))
+        sigma_new = sigma_old * factor
+        d = (factor - 1.0) * (params.alpha[:, r, k] - params.mu[r, k])
+        eta_k, log_denom, dll = data.propose(k, d[data.i_arr])
+        log_ratio = (float(np.sum(dll))
+                     + _log_prior_sigma(prior, sigma_new)
+                     - _log_prior_sigma(prior, sigma_old)
+                     + np.log(factor))
+        if _accept("scale", log_ratio, rng):
+            params.sigma[r, k] = sigma_new
+            params.alpha[:, r, k] += d
+            data.adopt(k, eta_k, log_denom)
+            acc[r, k] = 1.0
     return acc
 
 
@@ -508,30 +499,18 @@ def update_location_joint(params, seq: np.ndarray, design: DesignMatrix,
     intercept shift by the same amount, so the hierarchical prior terms
     are unchanged and only the likelihood and the mu prior enter.
     Returns the (R, K) acceptance indicators."""
-    N, R, K = params.alpha.shape
-    acc = np.zeros((R, K))
-    for row in range(1, R + 1):
-        data = _RowData(params, seq, design, row)
-        r = row - 1
-        for k in range(K):
-            target_state = k + 2
-            d = step * rng.standard_normal()
-            eta_new = data.eta[:, k] + d
-            ld_new = data.log_denom_with(k, eta_new)
-            dll = float(np.sum(
-                np.where(data.target == target_state, d, 0.0)
-                - ld_new + data.log_denom))
-            mu_old = params.mu[r, k]
-            mu_new = mu_old + d
-            dprior = (mu_old ** 2 - mu_new ** 2) / (2.0 * prior.mu_sd ** 2)
-            log_ratio = dll + dprior
-            _check_finite("location", log_ratio)
-            if np.log(rng.random()) < log_ratio:
-                params.mu[r, k] = mu_new
-                params.alpha[:, r, k] += d
-                data.eta[:, k] = eta_new
-                data.log_denom = ld_new
-                acc[r, k] = 1.0
+    acc = np.zeros(params.mu.shape)
+    for data, r, k in _blocks(params, seq, design):
+        d = step * rng.standard_normal()
+        eta_k, log_denom, dll = data.propose(k, d)
+        mu_old = params.mu[r, k]
+        mu_new = mu_old + d
+        dprior = (mu_old ** 2 - mu_new ** 2) / (2.0 * prior.mu_sd ** 2)
+        if _accept("location", float(np.sum(dll)) + dprior, rng):
+            params.mu[r, k] = mu_new
+            params.alpha[:, r, k] += d
+            data.adopt(k, eta_k, log_denom)
+            acc[r, k] = 1.0
     return acc
 
 

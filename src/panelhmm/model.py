@@ -293,6 +293,15 @@ def _simulate_chain(params, design: DesignMatrix, n_subjects: int, n_days: int,
     return states
 
 
+def _masked_panel(codes: np.ndarray, mask, m_levels: int) -> ObservationPanel:
+    """Simulated codes as a panel whose cells under ``mask`` (if given)
+    are reported missing."""
+    mask = np.zeros(codes.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != codes.shape:
+        raise InputError("mask shape must match the simulated panel")
+    return ObservationPanel(codes=codes, mask=mask, m_levels=m_levels)
+
+
 def simulate_hmm(params: HmmParams, design: DesignMatrix, n_subjects: int,
                  n_days: int, mask: np.ndarray | None = None,
                  seed=None) -> SimulatedPanel:
@@ -307,14 +316,8 @@ def simulate_hmm(params: HmmParams, design: DesignMatrix, n_subjects: int,
     obs = _sample_categorical_rows(
         params.P[hidden - 1], rng.random(hidden.shape)
     )
-    if mask is None:
-        mask = np.zeros_like(obs, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != obs.shape:
-            raise InputError("mask shape must match the simulated panel")
-    panel = ObservationPanel(codes=obs, mask=mask, m_levels=params.m_levels)
-    return SimulatedPanel(observed=panel, hidden=hidden, seed=seed)
+    return SimulatedPanel(observed=_masked_panel(obs, mask, params.m_levels),
+                          hidden=hidden, seed=seed)
 
 
 def simulate_markov(params: MarkovParams, design: DesignMatrix, n_subjects: int,
@@ -323,14 +326,8 @@ def simulate_markov(params: MarkovParams, design: DesignMatrix, n_subjects: int,
     """Forward-simulate the observation-level Markov chain."""
     rng = np.random.default_rng(seed)
     obs = _simulate_chain(params, design, n_subjects, n_days, rng)
-    if mask is None:
-        mask = np.zeros_like(obs, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != obs.shape:
-            raise InputError("mask shape must match the simulated panel")
-    panel = ObservationPanel(codes=obs, mask=mask, m_levels=params.m_levels)
-    return SimulatedPanel(observed=panel, hidden=None, seed=seed)
+    return SimulatedPanel(observed=_masked_panel(obs, mask, params.m_levels),
+                          hidden=None, seed=seed)
 
 
 # -- flat key-value parameter serialization ---------------------------------
@@ -340,22 +337,33 @@ def simulate_markov(params: MarkovParams, design: DesignMatrix, n_subjects: int,
 # 2, to-state 3.  Ordering is deterministic (C order per array, arrays in
 # the order alpha, beta, mu, sigma, pi, P).
 
-def _emit_array(lines: list, name: str, a: np.ndarray, index_offsets) -> None:
-    for idx in np.ndindex(a.shape):
-        shown = ",".join(str(i + off) for i, off in zip(idx, index_offsets))
-        lines.append(f"{name}[{shown}] {float(a[idx])!r}")
+# Offsets from each array's 0-based indices to its path indices; the
+# posterior store writes the same paths.
+PATH_OFFSETS = {"alpha": (0, 1, 2), "beta": (1, 2, 0), "mu": (1, 2),
+                "sigma": (1, 2), "pi": (1,), "P": (1, 1)}
+
+
+def param_paths(name: str, shape: tuple) -> list:
+    """Paths of every entry of array ``name`` of ``shape``, in C order."""
+    off = PATH_OFFSETS[name]
+    return [name + "[" + ",".join(str(i + o) for i, o in zip(idx, off)) + "]"
+            for idx in np.ndindex(shape)]
+
+
+def parse_param_path(path: str) -> tuple:
+    """Inverse of :func:`param_paths`: ``(name, 0-based index tuple)``."""
+    name, idx = path[:-1].split("[")
+    return name, tuple(int(k) - o for k, o in zip(idx.split(","), PATH_OFFSETS[name]))
 
 
 def params_to_text(params) -> str:
     """Serialize parameters to flat key-value text."""
     lines = [f"# panelhmm-params 1 kind={'hmm' if isinstance(params, HmmParams) else 'markov'}"]
-    _emit_array(lines, "alpha", params.alpha, (0, 1, 2))
-    _emit_array(lines, "beta", params.beta, (1, 2, 0))
-    _emit_array(lines, "mu", params.mu, (1, 2))
-    _emit_array(lines, "sigma", params.sigma, (1, 2))
-    _emit_array(lines, "pi", params.pi, (1,))
-    if isinstance(params, HmmParams):
-        _emit_array(lines, "P", params.P, (1, 1))
+    for name in PATH_OFFSETS:
+        if hasattr(params, name):  # Markov parameters have no P
+            a = getattr(params, name)
+            lines += [f"{path} {float(v)!r}"
+                      for path, v in zip(param_paths(name, a.shape), a.ravel())]
     return "\n".join(lines) + "\n"
 
 
@@ -373,27 +381,19 @@ def params_from_text(text: str):
             continue
         try:
             path, value = line.split()
-            name, idx = path[:-1].split("[")
-            entries.setdefault(name, []).append(
-                (tuple(int(k) for k in idx.split(",")), float(value))
-            )
-        except ValueError:
+            name, idx = parse_param_path(path)
+            entries.setdefault(name, []).append((idx, float(value)))
+        except (ValueError, KeyError):
             raise InputError(f"malformed params line {line!r}") from None
     if kind not in ("hmm", "markov"):
         raise InputError("missing or invalid params header line")
-    offsets = {
-        "alpha": (0, 1, 2), "beta": (1, 2, 0), "mu": (1, 2),
-        "sigma": (1, 2), "pi": (1,), "P": (1, 1),
-    }
     arrays = {}
     for name, items in entries.items():
-        off = offsets[name]
-        shape = tuple(
-            max(idx[d] - off[d] for idx, _ in items) + 1 for d in range(len(off))
-        )
+        shape = tuple(max(idx[d] for idx, _ in items) + 1
+                      for d in range(len(PATH_OFFSETS[name])))
         a = np.zeros(shape)
         for idx, value in items:
-            a[tuple(i - o for i, o in zip(idx, off))] = value
+            a[idx] = value
         arrays[name] = a
     cls = HmmParams if kind == "hmm" else MarkovParams
     return cls(**arrays)

@@ -17,34 +17,18 @@ import numpy as np
 
 from .errors import InputError
 from .mcmc import Chain, ChainSet
+from .model import param_paths, parse_param_path
 
 SCHEMA_VERSION = 1
 SAMPLES_FILE = "samples.csv"
 MANIFEST_FILE = "run_manifest.json"
-
-_OFFSETS = {
-    "alpha": (0, 1, 2),
-    "beta": (1, 2, 0),
-    "mu": (1, 2),
-    "sigma": (1, 2),
-    "pi": (1,),
-    "P": (1, 1),
-}
-
-
-def _paths_for(name: str, shape: tuple) -> list:
-    off = _OFFSETS[name]
-    return [
-        name + "[" + ",".join(str(i + o) for i, o in zip(idx, off)) + "]"
-        for idx in np.ndindex(shape)
-    ]
 
 
 def save_chain_set(directory, chain_set: ChainSet) -> None:
     """Write all retained draws to ``<directory>/samples.csv``."""
     path = f"{directory}/{SAMPLES_FILE}"
     names = sorted(chain_set.chains[0].draws)
-    paths = {n: _paths_for(n, chain_set.chains[0].draws[n].shape[1:]) for n in names}
+    paths = {n: param_paths(n, chain_set.chains[0].draws[n].shape[1:]) for n in names}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema-version: {SCHEMA_VERSION}\n")
         fh.write(f"# model-kind: {chain_set.model_kind}\n")
@@ -82,10 +66,7 @@ def load_chain_set(directory) -> ChainSet:
             if param == "deviance":
                 name, idx = "deviance", ()
             else:
-                name, idx_str = param[:-1].split("[")
-                raw = tuple(int(k) for k in idx_str.split(","))
-                off = _OFFSETS[name]
-                idx = tuple(i - o for i, o in zip(raw, off))
+                name, idx = parse_param_path(param)
             records.setdefault((c, name), {}).setdefault(g, {})[idx] = float(value)
     if model_kind not in ("hmm", "markov"):
         raise InputError(f"{path}: missing model-kind header")

@@ -146,6 +146,20 @@ class TestFit:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("column", [2, 3])
+    def test_nan_proportion_exits_2(self, workspace, tmp_path, column):
+        header, *rows = (workspace / "x.csv").read_text().splitlines()
+        cells = rows[0].split(",")
+        cells[column] = "nan"
+        x_bad = tmp_path / "x.csv"
+        x_bad.write_text("\n".join([header, ",".join(cells)] + rows[1:]) + "\n")
+        code = main([
+            "fit", "--y", str(workspace / "y.csv"), "--x", str(x_bad),
+            "--burnin", "2", "--keep", "2", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_data_exits_2(self, workspace, tmp_path):
         y_bad = tmp_path / "y.csv"
         y_bad.write_text("1,2,9\n")

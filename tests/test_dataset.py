@@ -160,6 +160,14 @@ class TestLoadCovariates:
         with pytest.raises(InputError, match="d_heavy"):
             RawCovariates(treatment=[0], sex=[0], d_drink=[0.2], d_heavy=[0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["d_drink", "d_heavy"])
+    def test_non_finite_proportion_rejected(self, name, bad):
+        values = {"d_drink": [0.5, 0.4], "d_heavy": [0.2, 0.1]}
+        values[name][1] = bad
+        with pytest.raises(InputError, match=name):
+            RawCovariates(treatment=[0, 1], sex=[1, 0], **values)
+
 
 class TestStandardize:
     def test_mean_zero_sd_half(self, rng):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from panelhmm.dataset import ObservationPanel
+from panelhmm.dataset import DesignMatrix, ObservationPanel
 from panelhmm.inference import (
     ffbs_sample_hidden,
     forward_backward,
@@ -14,7 +14,7 @@ from panelhmm.inference import (
     smoothed_marginals,
     viterbi,
 )
-from panelhmm.model import transition_matrices
+from panelhmm.model import HmmParams, transition_matrices
 
 from conftest import (
     enumerate_paths,
@@ -130,6 +130,45 @@ class TestViterbi:
                                  mask=np.zeros((1, 3), bool), m_levels=2)
         path = viterbi(panel, design, params)[0]
         np.testing.assert_array_equal(path.states, [1, 1, 1])
+
+
+    def test_panel_decodes_each_subject_as_alone(self):
+        # every subject of a panel with missing days decodes to the path it
+        # gets on its own, and its log joint is that path's log p(H, Y_obs);
+        # subject 0 has no data and a uniform chain, so all its paths tie
+        rng = np.random.default_rng(29)
+        N, T = 7, 9
+        panel, design, params = random_instance(rng, n_subjects=N, n_days=T,
+                                                missing_rate=0.3)
+        mask = panel.mask.copy()
+        mask[0] = True
+        panel = ObservationPanel(codes=np.where(mask, 0, panel.codes),
+                                 mask=mask, m_levels=3)
+        values = design.values.copy()
+        values[0] = 0.0
+        design = DesignMatrix(values=values, standardizations=(),
+                              names=design.names)
+        params.alpha[0] = 0.0
+        params.pi[...] = 1.0 / 3
+        decoded = viterbi(panel, design, params)
+        assert len(decoded) == N
+        np.testing.assert_array_equal(decoded[0].states, np.ones(T))
+        for i, path in enumerate(decoded):
+            one = slice(i, i + 1)
+            alone = (
+                ObservationPanel(codes=panel.codes[one], mask=panel.mask[one],
+                                 m_levels=3),
+                DesignMatrix(values=design.values[one], standardizations=(),
+                             names=design.names),
+                HmmParams(alpha=params.alpha[one], beta=params.beta,
+                          mu=params.mu, sigma=params.sigma, pi=params.pi,
+                          P=params.P),
+            )
+            own = viterbi(*alone)[0]
+            np.testing.assert_array_equal(path.states, own.states)
+            assert path.log_joint == pytest.approx(own.log_joint, rel=1e-12)
+            assert path.log_joint == pytest.approx(
+                log_joint_hmm(*alone, path.states[None, :]), rel=1e-12)
 
 
 class TestFfbs:

@@ -234,6 +234,41 @@ class TestMetropolisUpdates:
         assert huge.mean() < 0.3
 
 
+class TestRowCache:
+    """The row cache that every Metropolis move prices its shift with."""
+
+    @staticmethod
+    def _point_loglik(data):
+        # log p(target | row) per point: the target's logit (0 for the
+        # baseline) minus the log-denominator
+        eta = np.hstack([np.zeros((data.eta.shape[0], 1)), data.eta])
+        return eta[np.arange(eta.shape[0]), data.target - 1] - data.log_denom
+
+    def test_adopted_shifts_match_fresh_cache(self, rng):
+        panel, design, params = random_instance(rng, n_subjects=15, n_days=20,
+                                                missing_rate=0.0)
+        seq = panel.codes
+        N, R, K = params.alpha.shape
+        for r in range(R):
+            data = mcmc._RowData(params, seq, design, r + 1)
+            for k in range(K):
+                d = rng.normal(0.0, 0.5, N)
+                eta_k, log_denom, dll = data.propose(k, d[data.i_arr])
+                shifted = params.copy()
+                shifted.alpha[:, r, k] += d
+                moved = mcmc._RowData(shifted, seq, design, r + 1)
+                np.testing.assert_allclose(
+                    dll, self._point_loglik(moved) - self._point_loglik(data),
+                    rtol=0, atol=1e-12)
+                keep = rng.random(N) < 0.5
+                params.alpha[keep, r, k] += d[keep]
+                data.adopt(k, eta_k, log_denom, keep[data.i_arr])
+                fresh = mcmc._RowData(params, seq, design, r + 1)
+                np.testing.assert_allclose(data.eta, fresh.eta, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(data.log_denom, fresh.log_denom,
+                                           rtol=0, atol=1e-12)
+
+
 class TestJointBlockMoves:
     """The funnel-crossing moves rescale or translate a whole (row, target)
     intercept block together with its hyperparameter."""
