@@ -304,6 +304,8 @@ def serial_dependence_table(panel: ObservationPanel, design: DesignMatrix,
     prob_markov = inference.pointwise_predictive(
         panel, design, chain_set_markov.posterior_mean_params(), mode="markov")
     codes, obs = panel.codes, ~panel.mask
+    seen = obs[:, :-2] & obs[:, 1:-1] & obs[:, 2:]
+    first, second, last = codes[:, :-2], codes[:, 1:-1], codes[:, 2:]
     rows = []
     M = panel.m_levels
     for i in range(1, M + 1):
@@ -311,22 +313,17 @@ def serial_dependence_table(panel: ObservationPanel, design: DesignMatrix,
             if i == j:
                 continue
             for pattern, third in (("return", i), ("stay", j)):
-                hits = []
-                for subj in range(panel.n_subjects):
-                    for t in range(panel.n_days - 2):
-                        if (obs[subj, t] and obs[subj, t + 1] and obs[subj, t + 2]
-                                and codes[subj, t] == i and codes[subj, t + 1] == j
-                                and codes[subj, t + 2] == third):
-                            hits.append((subj, t + 2))
-                if not hits:
+                subj, t = np.nonzero(seen & (first == i) & (second == j)
+                                     & (last == third))
+                if subj.size == 0:
                     continue
-                idx = tuple(np.array(hits).T)
+                idx = (subj, t + 2)
                 rows.append({
                     "first": i,
                     "second": j,
                     "third": third,
                     "pattern": pattern,
-                    "count": len(hits),
+                    "count": int(subj.size),
                     "hmm_mean_prob": float(prob_hmm[idx].mean()),
                     "markov_mean_prob": float(prob_markov[idx].mean()),
                 })

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import csv
+import json
 import os
 import sys
 
@@ -76,10 +77,23 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _load_fit(fit_dir):
-    if not os.path.exists(os.path.join(fit_dir, storage.SAMPLES_FILE)):
-        raise InputError(f"{fit_dir}: no {storage.SAMPLES_FILE}; run `fit` first")
-    return storage.load_chain_set(fit_dir)
+def _load_fit(fit_dir, n_subjects, n_days=None):
+    """The stored fit and its panel length; rejects inputs with another
+    subject count, or another day count when ``n_days`` is given."""
+    chain_set = storage.load_chain_set(fit_dir)
+    manifest = os.path.join(fit_dir, storage.MANIFEST_FILE)
+    try:
+        with open(manifest, "r", encoding="utf-8") as fh:
+            fit_days = int(json.load(fh)["config"]["days"])
+    except (OSError, ValueError, KeyError, TypeError):
+        raise InputError(f"{manifest}: no panel length; re-fit") from None
+    fit_subjects = chain_set.chains[0].draws["alpha"].shape[1]
+    if n_subjects != fit_subjects:
+        raise InputError(f"{n_subjects} subjects given; the fit in {fit_dir} "
+                         f"has {fit_subjects}")
+    if n_days is not None and n_days != fit_days:
+        raise InputError(f"{n_days} days given; the fit in {fit_dir} has {fit_days}")
+    return chain_set, fit_days
 
 
 @click.group()
@@ -130,7 +144,7 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
     storage.write_manifest(
         out_dir, "fit",
         {"model": p["model_kind"], "states": p["states"], "chains": p["chains"],
-         "burnin": p["burnin"], "keep": p["keep"],
+         "burnin": p["burnin"], "keep": p["keep"], "days": panel.n_days,
          "step_alpha": p["step_alpha"], "step_beta": p["step_beta"],
          "missing_token": p["missing_token"]},
         {"y": y_path, "x": x_path}, p["seed"],
@@ -182,9 +196,10 @@ def simulate(params_path, x_path, days, subjects, mask_path, missing_token,
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
-    """Convergence summaries (R-hat, ESS, quantiles) and the DIC report."""
-    chain_set = _load_fit(fit_dir)
+    """Convergence summaries (R-hat, ESS, quantiles), acceptance rates and
+    the DIC report."""
     panel, design = _load_data(y_path, x_path, missing_token)
+    chain_set, _ = _load_fit(fit_dir, panel.n_subjects, panel.n_days)
     rows = diagnostics.scalar_summaries(chain_set)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
@@ -194,6 +209,13 @@ def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
           _num(r["q975"]),
           "unavailable" if np.isnan(r["rhat"]) else _num(r["rhat"]),
           _num(r["ess"])] for r in rows],
+    )
+    _write_csv(
+        os.path.join(out_dir, "acceptance.csv"),
+        ["parameter", "chain", "rate"],
+        [[path, c.chain_index, _num(rate)] for c in chain_set.chains
+         for name, rates in c.acceptance.items()
+         for path, rate in zip(model.param_paths(name, rates.shape), rates.ravel())],
     )
     report = diagnostics.dic(chain_set, panel, design)
     _write_csv(
@@ -220,8 +242,8 @@ def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def ppc(fit_dir, y_path, x_path, mode, draws, missing_token, seed, out_dir):
     """Posterior predictive checks of drinking-pattern statistics."""
-    chain_set = _load_fit(fit_dir)
     panel, design = _load_data(y_path, x_path, missing_token)
+    chain_set, _ = _load_fit(fit_dir, panel.n_subjects, panel.n_days)
     total = chain_set.n_chains * chain_set.n_kept
     indices = None
     if draws is not None:
@@ -252,15 +274,16 @@ def ppc(fit_dir, y_path, x_path, mode, draws, missing_token, seed, out_dir):
 @cli.command()
 @click.option("--fit", "fit_dir", required=True, type=click.Path(exists=True))
 @click.option("--x", "x_path", required=True, type=click.Path(exists=True))
-@click.option("--days", type=int, required=True,
-              help="Panel length used for the fit (defines the time grid).")
+@click.option("--days", type=int, default=None,
+              help="Panel length of the fit (defines the time grid); "
+                   "defaults to the fit's, and another value is an error.")
 @click.option("--kind", type=click.Choice(["transition", "stationary"]),
               default="transition", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def apc(fit_dir, x_path, days, kind, out_dir):
     """Average predictive comparisons for every covariate and target."""
-    chain_set = _load_fit(fit_dir)
     raw = load_covariates(x_path)
+    chain_set, days = _load_fit(fit_dir, raw.n_subjects, days)
     design = build_design(raw, days)
     R = chain_set.stacked("pi").shape[1]
     covariates = list(design.names)
@@ -310,10 +333,10 @@ def apc(fit_dir, x_path, days, kind, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def viterbi(fit_dir, y_path, x_path, missing_token, out_dir):
     """Decode hidden states at the posterior-mean parameters."""
-    chain_set = _load_fit(fit_dir)
+    panel, design = _load_data(y_path, x_path, missing_token)
+    chain_set, _ = _load_fit(fit_dir, panel.n_subjects, panel.n_days)
     if chain_set.model_kind != "hmm":
         raise InputError("viterbi decoding requires an HMM fit")
-    panel, design = _load_data(y_path, x_path, missing_token)
     params = chain_set.posterior_mean_params()
     paths = inference.viterbi(panel, design, params)
     marginals = inference.smoothed_marginals(panel, design, params)

@@ -338,14 +338,16 @@ def simulate_markov(params: MarkovParams, design: DesignMatrix, n_subjects: int,
 # the order alpha, beta, mu, sigma, pi, P).
 
 # Offsets from each array's 0-based indices to its path indices; the
-# posterior store writes the same paths.
+# diagnose command's acceptance table uses the same paths.
 PATH_OFFSETS = {"alpha": (0, 1, 2), "beta": (1, 2, 0), "mu": (1, 2),
                 "sigma": (1, 2), "pi": (1,), "P": (1, 1)}
 
 
 def param_paths(name: str, shape: tuple) -> list:
-    """Paths of every entry of array ``name`` of ``shape``, in C order."""
-    off = PATH_OFFSETS[name]
+    """Paths of every entry of array ``name`` of ``shape``, in C order.
+    A shape with fewer axes than the parameter indexes its trailing axes,
+    e.g. ``(R, K)`` for one ``alpha`` path per row and target."""
+    off = PATH_OFFSETS[name][len(PATH_OFFSETS[name]) - len(shape):]
     return [name + "[" + ",".join(str(i + o) for i, o in zip(idx, off)) + "]"
             for idx in np.ndindex(shape)]
 

@@ -1,10 +1,14 @@
 """Persistence of posterior samples and run manifests.
 
-Samples are stored as append-only delimited records, one line per scalar
-per retained iteration: ``iteration,chain,parameter,value``.  Parameter
-paths use 0-based subject indices and 1-based state/level values, e.g.
-``alpha[4,2,3]`` is subject 4's intercept for transitions from row 2
-into target 3.  ``deviance`` is recorded like any other parameter.
+``samples.npz``, written by ``np.savez`` and read without pickles, holds
+a fit's retained draws: ``model_kind`` (0-d string), ``chain_index``
+``(chain,)`` int64, and float64 arrays shaped ``(chain, draw, ...)`` per
+parameter: ``alpha`` ``(..., N, R, K)``, ``beta`` ``(..., R, K, p)``,
+``mu`` and ``sigma`` ``(..., R, K)``, ``pi`` ``(..., R)`` and, for the HMM,
+``P`` ``(..., S, M)``; ``deviance`` is ``(chain, draw)``.
+``acceptance_alpha`` ``(chain, R, K)`` and ``acceptance_beta``
+``(chain, R, K, p)`` are each move's acceptance rate over the kept sweeps.
+Indices are 0-based.  Hidden-state summaries are not stored.
 """
 
 from __future__ import annotations
@@ -12,88 +16,59 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import zipfile
 
 import numpy as np
 
 from .errors import InputError
 from .mcmc import Chain, ChainSet
-from .model import param_paths, parse_param_path
 
 SCHEMA_VERSION = 1
-SAMPLES_FILE = "samples.csv"
+SAMPLES_FILE = "samples.npz"
 MANIFEST_FILE = "run_manifest.json"
+_PARAMS = {"hmm": ("alpha", "beta", "mu", "sigma", "pi", "P"),
+           "markov": ("alpha", "beta", "mu", "sigma", "pi")}
+_MOVES = ("alpha", "beta")  # the moves whose acceptance is stored
 
 
 def save_chain_set(directory, chain_set: ChainSet) -> None:
-    """Write all retained draws to ``<directory>/samples.csv``."""
-    path = f"{directory}/{SAMPLES_FILE}"
-    names = sorted(chain_set.chains[0].draws)
-    paths = {n: param_paths(n, chain_set.chains[0].draws[n].shape[1:]) for n in names}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema-version: {SCHEMA_VERSION}\n")
-        fh.write(f"# model-kind: {chain_set.model_kind}\n")
-        fh.write("iteration,chain,parameter,value\n")
-        for chain in chain_set.chains:
-            c = chain.chain_index
-            for g in range(chain.n_kept):
-                for name in names:
-                    values = chain.draws[name][g].ravel()
-                    for p, v in zip(paths[name], values):
-                        fh.write(f"{g},{c},{p},{float(v)!r}\n")
-                fh.write(f"{g},{c},deviance,{float(chain.deviance[g])!r}\n")
+    """Write all retained draws to ``<directory>/samples.npz``."""
+    chains = chain_set.chains
+    arrays = {name: chain_set.per_chain(name)
+              for name in _PARAMS[chain_set.model_kind] + ("deviance",)}
+    for move in _MOVES:
+        arrays[f"acceptance_{move}"] = np.stack([c.acceptance[move] for c in chains])
+    np.savez(f"{directory}/{SAMPLES_FILE}", model_kind=np.array(chain_set.model_kind),
+             chain_index=np.array([c.chain_index for c in chains], dtype=np.int64),
+             **arrays)
 
 
 def load_chain_set(directory) -> ChainSet:
-    """Rebuild a :class:`ChainSet` from ``samples.csv``."""
+    """Rebuild a :class:`ChainSet` from ``samples.npz``; a missing,
+    unreadable, incomplete or inconsistent store is an InputError."""
     path = f"{directory}/{SAMPLES_FILE}"
-    model_kind = None
-    records = {}  # (chain, name) -> {iteration -> {idx tuple -> value}}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "model-kind:" in line:
-                    model_kind = line.split("model-kind:")[1].strip()
-                continue
-            if line.startswith("iteration,"):
-                continue
-            # parameter paths contain commas, so peel the value off the right
-            g_str, c_str, rest = line.split(",", 2)
-            param, value = rest.rsplit(",", 1)
-            g, c = int(g_str), int(c_str)
-            if param == "deviance":
-                name, idx = "deviance", ()
-            else:
-                name, idx = parse_param_path(param)
-            records.setdefault((c, name), {}).setdefault(g, {})[idx] = float(value)
-    if model_kind not in ("hmm", "markov"):
-        raise InputError(f"{path}: missing model-kind header")
-    chain_indices = sorted({c for c, _ in records})
-    chains = []
-    for c in chain_indices:
-        draws = {}
-        deviance = None
-        for (cc, name), by_iter in records.items():
-            if cc != c:
-                continue
-            iters = sorted(by_iter)
-            if name == "deviance":
-                deviance = np.array([by_iter[g][()] for g in iters])
-                continue
-            shape = tuple(max(idx[d] for idx in by_iter[iters[0]]) + 1
-                          for d in range(len(next(iter(by_iter[iters[0]])))))
-            a = np.zeros((len(iters),) + shape)
-            for gi, g in enumerate(iters):
-                for idx, v in by_iter[g].items():
-                    a[(gi,) + idx] = v
-            draws[name] = a
-        if deviance is None:
-            deviance = np.zeros(next(iter(draws.values())).shape[0])
-        chains.append(Chain(model_kind=model_kind, chain_index=c, draws=draws,
-                            deviance=deviance, acceptance={}))
-    return ChainSet(model_kind=model_kind, chains=chains)
+    try:
+        with np.load(path, allow_pickle=False) as store:
+            arrays = {name: store[name] for name in store.files}
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path}: unreadable ({exc}); run `fit` again") from None
+    kind = str(arrays.get("model_kind"))
+    if kind not in _PARAMS:
+        raise InputError(f"{path}: no model_kind of 'hmm' or 'markov'")
+    required = ("chain_index", "deviance") + _PARAMS[kind] + tuple(
+        f"acceptance_{move}" for move in _MOVES)
+    missing = [name for name in required if name not in arrays]
+    if missing:
+        raise InputError(f"{path}: no {', '.join(missing)} array")
+    if (any(arrays[name].shape[:1] != arrays["chain_index"].shape for name in required)
+            or any(arrays[name].shape[:2] != arrays["deviance"].shape for name in _PARAMS[kind])):
+        raise InputError(f"{path}: arrays disagree on the number of chains or draws")
+    return ChainSet(model_kind=kind, chains=[
+        Chain(model_kind=kind, chain_index=int(c),
+              draws={name: arrays[name][i] for name in _PARAMS[kind]},
+              deviance=arrays["deviance"][i],
+              acceptance={move: arrays[f"acceptance_{move}"][i] for move in _MOVES})
+        for i, c in enumerate(arrays["chain_index"])])
 
 
 def file_sha256(path) -> str:
@@ -122,3 +97,4 @@ def write_manifest(directory, command: str, config: dict, inputs: dict,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
+

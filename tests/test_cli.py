@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -57,11 +58,12 @@ def fitted(workspace):
 
 class TestFit:
     def test_outputs_and_manifest(self, workspace, fitted):
-        assert (fitted / "samples.csv").exists()
+        assert (fitted / "samples.npz").exists()
         manifest = json.loads((fitted / "run_manifest.json").read_text())
         assert manifest["command"] == "fit"
         assert manifest["seed"] == 3
         assert manifest["config"]["chains"] == 2
+        assert manifest["config"]["days"] == 15
         assert set(manifest["inputs"]) == {"y", "x"}
 
     def test_rerun_is_byte_identical(self, workspace, fitted):
@@ -73,8 +75,8 @@ class TestFit:
             "--out", str(out2),
         ])
         assert code == 0
-        assert (out2 / "samples.csv").read_bytes() == \
-            (fitted / "samples.csv").read_bytes()
+        assert (out2 / "samples.npz").read_bytes() == \
+            (fitted / "samples.npz").read_bytes()
 
     def test_config_file_and_flag_precedence(self, workspace):
         cfg = workspace / "run.cfg"
@@ -190,6 +192,40 @@ class TestDiagnose:
         assert dic_row["dic"] == pytest.approx(
             dic_row["mean_deviance"] + dic_row["p_d"], abs=1e-9)
 
+    def test_acceptance_rates(self, workspace, fitted, tmp_path):
+        out = tmp_path / "diag"
+        assert main([
+            "diagnose", "--fit", str(fitted),
+            "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--out", str(out),
+        ]) == 0
+        lines = (out / "acceptance.csv").read_text().splitlines()
+        header, *rows = csv.reader(lines[1:])
+        assert header == ["parameter", "chain", "rate"]
+        # 2 chains x (3 rows x 2 targets alpha blocks + 3 x 2 x 4 beta scalars)
+        assert len(rows) == 2 * (3 * 2 + 3 * 2 * 4)
+        paths = [r[0] for r in rows]
+        assert paths[0] == "alpha[1,2]"
+        assert "beta[3,3,3]" in paths
+        assert {r[1] for r in rows} == {"0", "1"}
+        rates = np.array([float(r[2]) for r in rows])
+        assert np.all((rates >= 0.0) & (rates <= 1.0))
+
+    def test_truncated_store_exits_2(self, workspace, fitted, tmp_path):
+        fit = tmp_path / "fit"
+        fit.mkdir()
+        data = (fitted / "samples.npz").read_bytes()
+        (fit / "samples.npz").write_bytes(data[:len(data) // 2])
+        (fit / "run_manifest.json").write_bytes(
+            (fitted / "run_manifest.json").read_bytes())
+        code = main([
+            "diagnose", "--fit", str(fit),
+            "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--out", str(tmp_path / "diag"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "diag").exists()
+
     def test_missing_fit_exits_2(self, workspace, tmp_path):
         code = main([
             "diagnose", "--fit", str(tmp_path),
@@ -293,6 +329,51 @@ class TestViterbiCommand:
             "--out", str(tmp_path / "vit"),
         ])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def mismatched(workspace):
+    """Inputs that do not match the fit: 3 of its 5 subjects, and all 5
+    subjects over 10 of its 15 days."""
+    root = workspace / "mismatched"
+    root.mkdir()
+    y_rows = (workspace / "y.csv").read_text().splitlines()
+    x_rows = (workspace / "x.csv").read_text().splitlines()
+    (root / "y_subjects.csv").write_text("\n".join(y_rows[:3]) + "\n")
+    (root / "x_subjects.csv").write_text("\n".join(x_rows[:4]) + "\n")
+    (root / "y_days.csv").write_text(
+        "\n".join(",".join(r.split(",")[:10]) for r in y_rows) + "\n")
+    return {"subjects": (root / "y_subjects.csv", root / "x_subjects.csv"),
+            "days": (root / "y_days.csv", workspace / "x.csv")}
+
+
+class TestInputsMatchFit:
+    """Commands reading a stored fit reject a panel of another shape."""
+
+    @pytest.mark.parametrize("command", ["diagnose", "ppc", "viterbi"])
+    def test_panel_commands(self, fitted, mismatched, tmp_path, command):
+        for which, (y, x) in mismatched.items():
+            out = tmp_path / which
+            code = main([command, "--fit", str(fitted), "--y", str(y),
+                         "--x", str(x), "--out", str(out)])
+            assert code == 2, which
+            assert not out.exists()
+
+    def test_apc(self, workspace, fitted, mismatched, tmp_path):
+        x_small = str(mismatched["subjects"][1])
+        x = str(workspace / "x.csv")
+        assert main(["apc", "--fit", str(fitted), "--x", x_small,
+                     "--out", str(tmp_path / "a")]) == 2
+        assert main(["apc", "--fit", str(fitted), "--x", x, "--days", "30",
+                     "--out", str(tmp_path / "b")]) == 2
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+        # --days defaults to the fit's panel length, so it may be left out
+        assert main(["apc", "--fit", str(fitted), "--x", x,
+                     "--out", str(tmp_path / "c")]) == 0
+        assert main(["apc", "--fit", str(fitted), "--x", x, "--days", "15",
+                     "--out", str(tmp_path / "d")]) == 0
+        assert (tmp_path / "c" / "apc_draws.csv").read_bytes() == \
+            (tmp_path / "d" / "apc_draws.csv").read_bytes()
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from panelhmm import storage
 from panelhmm.errors import InputError
-from panelhmm.mcmc import SamplerConfig, run_chains
+from panelhmm.mcmc import ChainSet, SamplerConfig, run_chains
 
 from conftest import random_instance
 
@@ -19,9 +20,41 @@ def chain_set():
     return run_chains("hmm", panel, design, config=config)
 
 
+@pytest.fixture(scope="module")
+def markov_chain_set():
+    rng = np.random.default_rng(43)
+    panel, design, _ = random_instance(rng, n_subjects=3, n_days=10)
+    return run_chains("markov", panel, design,
+                      config=SamplerConfig(n_chains=1, n_burnin=5, n_keep=6,
+                                           seed=1))
+
+
+def relabelled(cs):
+    """``cs`` with chain indices that are not the chains' positions."""
+    return ChainSet(model_kind=cs.model_kind, chains=[
+        dataclasses.replace(c, chain_index=7 + 2 * c.chain_index)
+        for c in cs.chains])
+
+
+def assert_same_chain_set(back, cs):
+    assert back.model_kind == cs.model_kind
+    assert [c.chain_index for c in back.chains] == \
+        [c.chain_index for c in cs.chains]
+    for got, want in zip(back.chains, cs.chains):
+        assert got.model_kind == cs.model_kind
+        assert got.draws.keys() == want.draws.keys()
+        for name in want.draws:
+            np.testing.assert_array_equal(got.draws[name], want.draws[name])
+        np.testing.assert_array_equal(got.deviance, want.deviance)
+        assert got.acceptance.keys() == want.acceptance.keys()
+        for name in want.acceptance:
+            np.testing.assert_array_equal(got.acceptance[name],
+                                          want.acceptance[name])
+
+
 class TestSamplesRoundTrip:
     def test_draws_survive_exactly(self, chain_set, tmp_path):
-        storage.save_chain_set(tmp_path, chain_set)
+        storage.save_chain_set(tmp_path, relabelled(chain_set))
         back = storage.load_chain_set(tmp_path)
         assert back.model_kind == "hmm"
         assert back.n_chains == chain_set.n_chains
@@ -30,38 +63,70 @@ class TestSamplesRoundTrip:
                                           chain_set.per_chain(name))
         np.testing.assert_array_equal(back.per_chain("deviance"),
                                       chain_set.per_chain("deviance"))
+        assert_same_chain_set(back, relabelled(chain_set))
 
-    def test_record_format(self, chain_set, tmp_path):
+    @pytest.mark.parametrize("kind", ["hmm", "markov"])
+    def test_store_layout(self, chain_set, markov_chain_set, tmp_path, kind):
+        cs = chain_set if kind == "hmm" else markov_chain_set
+        storage.save_chain_set(tmp_path, cs)
+        params = ["alpha", "beta", "mu", "sigma", "pi"] + (["P"] if kind == "hmm" else [])
+        C, G = cs.n_chains, cs.n_kept
+        draw = cs.chains[0].draws
+        N, R, K = draw["alpha"].shape[1:]
+        p = draw["beta"].shape[-1]
+        with np.load(tmp_path / storage.SAMPLES_FILE, allow_pickle=False) as store:
+            assert sorted(store.files) == sorted(
+                ["model_kind", "chain_index", "deviance", "acceptance_alpha",
+                 "acceptance_beta"] + params)
+            assert store["model_kind"].shape == ()
+            assert str(store["model_kind"]) == kind
+            assert store["chain_index"].shape == (C,)
+            assert store["chain_index"].dtype == np.int64
+            shapes = {"alpha": (C, G, N, R, K), "beta": (C, G, R, K, p),
+                      "mu": (C, G, R, K), "sigma": (C, G, R, K), "pi": (C, G, R),
+                      "deviance": (C, G), "acceptance_alpha": (C, R, K),
+                      "acceptance_beta": (C, R, K, p)}
+            if kind == "hmm":
+                shapes["P"] = (C, G, R, draw["P"].shape[-1])
+            for name, shape in shapes.items():
+                assert store[name].shape == shape, name
+                assert store[name].dtype == np.float64, name
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.pop("model_kind"), "model_kind"),
+        (lambda a: a.pop("P"), "no P array"),
+        (lambda a: a.update(alpha=a["alpha"][:1]), "disagree"),
+        (lambda a: a.update(beta=a["beta"][:, :-1]), "disagree"),
+        (lambda a: a.update(acceptance_beta=a["acceptance_beta"][0]), "disagree"),
+    ], ids=["no-model-kind", "no-P", "alpha-chains", "beta-draws",
+            "acceptance-chains"])
+    def test_malformed_store_rejected(self, chain_set, tmp_path, edit, message):
         storage.save_chain_set(tmp_path, chain_set)
-        lines = (tmp_path / storage.SAMPLES_FILE).read_text().splitlines()
-        assert lines[0].startswith("# schema-version:")
-        assert lines[1] == "# model-kind: hmm"
-        assert lines[2] == "iteration,chain,parameter,value"
-        # 1-based states in paths: mu indices start at [1,2], alpha at [0,1,2]
-        body = "\n".join(lines[3:])
-        assert "mu[1,2]" in body
-        assert "alpha[0,1,2]" in body
-        assert "mu[0," not in body
-        assert ",deviance," in body
-
-    def test_missing_header_rejected(self, tmp_path):
-        (tmp_path / storage.SAMPLES_FILE).write_text(
-            "iteration,chain,parameter,value\n0,0,pi[1],0.5\n")
-        with pytest.raises(InputError, match="model-kind"):
+        path = tmp_path / storage.SAMPLES_FILE
+        with np.load(path, allow_pickle=False) as store:
+            arrays = {k: store[k] for k in store.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(InputError, match=message):
             storage.load_chain_set(tmp_path)
 
-    def test_markov_round_trip(self, tmp_path):
-        rng = np.random.default_rng(43)
-        panel, design, _ = random_instance(rng, n_subjects=3, n_days=10)
-        cs = run_chains("markov", panel, design,
-                        config=SamplerConfig(n_chains=1, n_burnin=5,
-                                             n_keep=6, seed=1))
+    def test_truncated_store_rejected(self, chain_set, tmp_path):
+        storage.save_chain_set(tmp_path, chain_set)
+        path = tmp_path / storage.SAMPLES_FILE
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(InputError, match="unreadable"):
+            storage.load_chain_set(tmp_path)
+
+    def test_markov_round_trip(self, markov_chain_set, tmp_path):
+        cs = relabelled(markov_chain_set)
         storage.save_chain_set(tmp_path, cs)
         back = storage.load_chain_set(tmp_path)
         assert back.model_kind == "markov"
         assert "P" not in back.chains[0].draws
         np.testing.assert_array_equal(back.stacked("alpha"),
                                       cs.stacked("alpha"))
+        assert_same_chain_set(back, cs)
 
 
 class TestManifest:
