@@ -15,8 +15,7 @@ from .dataset import (
 )
 from .errors import InputError, NumericalError, PanelHmmError
 from .model import (
-    HmmParams,
-    MarkovParams,
+    Params,
     SimulatedPanel,
     emission_prob,
     multi_step_matrix,

@@ -15,7 +15,7 @@ import numpy as np
 from . import inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
-from .model import HmmParams, MarkovParams, simulate_hmm, simulate_markov, softmax_rows
+from .model import simulate_hmm, simulate_markov, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
                             + params.sigma[None]
                             * rng.standard_normal(params.alpha.shape))
         seed = rng.integers(2 ** 63)
-        if chain_set.model_kind == "hmm":
+        if params.P is not None:
             yield simulate_hmm(params, design, n, t, mask=mask, seed=seed)
         else:
             yield simulate_markov(params, design, n, t, mask=mask, seed=seed)
@@ -300,9 +300,9 @@ def serial_dependence_table(panel: ObservationPanel, design: DesignMatrix,
     model's posterior-mean parameters.
     """
     prob_hmm = inference.pointwise_predictive(
-        panel, design, chain_set_hmm.posterior_mean_params(), mode="one_step")
+        panel, design, chain_set_hmm.posterior_mean_params())
     prob_markov = inference.pointwise_predictive(
-        panel, design, chain_set_markov.posterior_mean_params(), mode="markov")
+        panel, design, chain_set_markov.posterior_mean_params())
     codes, obs = panel.codes, ~panel.mask
     seen = obs[:, :-2] & obs[:, 1:-1] & obs[:, 2:]
     first, second, last = codes[:, :-2], codes[:, 1:-1], codes[:, 2:]

@@ -172,10 +172,8 @@ def simulate(params_path, x_path, days, subjects, mask_path, missing_token,
     mask = None
     if mask_path is not None:
         mask = load_observations(mask_path, missing_token=missing_token).mask[:n, :days]
-    if isinstance(params, model.HmmParams):
-        sim = model.simulate_hmm(params, design, n, days, mask=mask, seed=seed)
-    else:
-        sim = model.simulate_markov(params, design, n, days, mask=mask, seed=seed)
+    simulate = model.simulate_markov if params.P is None else model.simulate_hmm
+    sim = simulate(params, design, n, days, mask=mask, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     from .dataset import save_observations
     save_observations(sim.observed, os.path.join(out_dir, "y_sim.csv"),

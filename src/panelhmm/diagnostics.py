@@ -15,6 +15,7 @@ import numpy as np
 
 from . import inference
 from .errors import InputError, NumericalError
+from .model import param_paths
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,13 @@ def effective_sample_size(trace: np.ndarray) -> float:
     return float(min(ess, 1.05 * n))
 
 
-def deviance(panel, design, params, model_kind: str) -> float:
-    """-2 log p(Y_obs | theta); the random-effect prior terms are not
-    included (theta enters only through alpha, beta, pi, and P)."""
-    if model_kind == "hmm":
-        return -2.0 * inference.log_likelihood_hmm(panel, design, params)
-    if model_kind == "markov":
-        return -2.0 * inference.log_likelihood_markov(panel, design, params)
-    raise InputError(f"unknown model kind {model_kind!r}")
+def deviance(panel, design, params) -> float:
+    """-2 log p(Y_obs | theta) under the model ``params`` belong to (the
+    HMM when they hold emissions ``P``); the random-effect prior terms
+    are not included (theta enters only through alpha, beta, pi, and P)."""
+    loglik = (inference.log_likelihood_markov if params.P is None
+              else inference.log_likelihood_hmm)
+    return -2.0 * loglik(panel, design, params)
 
 
 def dic(chain_set, panel, design, average: str = "probability") -> DicReport:
@@ -102,7 +102,7 @@ def dic(chain_set, panel, design, average: str = "probability") -> DicReport:
         raise InputError("chain set has no retained draws")
     d_bar = float(devs.mean())
     theta_bar = chain_set.posterior_mean_params(average=average)
-    d_at_mean = deviance(panel, design, theta_bar, chain_set.model_kind)
+    d_at_mean = deviance(panel, design, theta_bar)
     p_d = d_bar - d_at_mean
     return DicReport(mean_deviance=d_bar, deviance_at_mean=d_at_mean,
                      p_d=p_d, dic=d_bar + p_d)
@@ -111,8 +111,10 @@ def dic(chain_set, panel, design, average: str = "probability") -> DicReport:
 def scalar_summaries(chain_set, names=None) -> list:
     """Per-scalar convergence table: (path, mean, sd, q2.5, q97.5, R-hat, ESS).
 
-    R-hat is NaN for single-chain runs; ESS is summed across chains.
-    Used by the diagnose command.
+    Paths are those of :func:`model.param_paths`: subjects and covariates
+    0-based, rows and targets 1-based, as in the params text format;
+    ``deviance`` is bare.  R-hat is NaN for single-chain runs; ESS is
+    summed across chains.  Used by the diagnose command.
     """
     rows = []
     names = names or sorted(chain_set.chains[0].draws) + ["deviance"]
@@ -120,9 +122,8 @@ def scalar_summaries(chain_set, names=None) -> list:
         a = chain_set.per_chain(name)  # (m, n, ...)
         m, n = a.shape[:2]
         flat = a.reshape(m, n, -1)
-        for j in range(flat.shape[2]):
-            idx = np.unravel_index(j, a.shape[2:]) if a.ndim > 2 else ()
-            path = name + ("[" + ",".join(map(str, idx)) + "]" if idx else "")
+        paths = [name] if name == "deviance" else param_paths(name, a.shape[2:])
+        for j, path in enumerate(paths):
             traces = flat[:, :, j]
             pooled = traces.ravel()
             if m >= 2 and n >= 10:

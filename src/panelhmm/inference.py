@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DesignMatrix, ObservationPanel
-from .model import HmmParams, MarkovParams, transition_matrices
+from .model import Params, transition_matrices
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,14 @@ def _markov_factors(panel: ObservationPanel, m_levels: int) -> np.ndarray:
     eye = np.eye(m_levels)
     L[obs] = eye[panel.codes[obs] - 1]
     return L
+
+
+def _factors(panel: ObservationPanel, params: Params) -> np.ndarray:
+    """Likelihood factors of either model: emissions for the HMM,
+    indicators on the observed levels for the Markov model."""
+    if params.P is None:
+        return _markov_factors(panel, params.m_levels)
+    return _hmm_factors(panel, params.P)
 
 
 def _filter_all(L: np.ndarray, Q: np.ndarray, pi: np.ndarray):
@@ -127,7 +135,7 @@ def _log_scaling(scaling: np.ndarray) -> np.ndarray:
 
 
 def forward_backward(panel: ObservationPanel, design: DesignMatrix,
-                     params: HmmParams) -> ForwardBackwardResult:
+                     params: Params) -> ForwardBackwardResult:
     """Full filtering/smoothing pass for the HMM."""
     L = _hmm_factors(panel, params.P)
     Q = transition_matrices(params, design)
@@ -140,7 +148,7 @@ def forward_backward(panel: ObservationPanel, design: DesignMatrix,
 
 
 def log_likelihood_hmm(panel: ObservationPanel, design: DesignMatrix,
-                       params: HmmParams) -> float:
+                       params: Params) -> float:
     """log p(Y_obs | theta), hidden states marginalized exactly."""
     L = _hmm_factors(panel, params.P)
     Q = transition_matrices(params, design)
@@ -149,7 +157,7 @@ def log_likelihood_hmm(panel: ObservationPanel, design: DesignMatrix,
 
 
 def log_likelihood_markov(panel: ObservationPanel, design: DesignMatrix,
-                          params: MarkovParams,
+                          params: Params,
                           imputed: np.ndarray | None = None) -> float:
     """Markov-model log-likelihood.
 
@@ -187,19 +195,17 @@ def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
     :func:`log_likelihood_hmm` / :func:`log_likelihood_markov`, so it equals
     them bit for bit.
     """
-    hmm = isinstance(params, HmmParams)
-    L = _hmm_factors(panel, params.P) if hmm else _markov_factors(panel, params.m_levels)
     Q = transition_matrices(params, design)
-    filtered, scaling = _filter_all(L, Q, params.pi)
+    filtered, scaling = _filter_all(_factors(panel, params), Q, params.pi)
     draw = _backward_sample_all(filtered, Q, rng)
-    if not hmm:
+    if params.P is None:
         obs = ~panel.mask
         draw[obs] = panel.codes[obs]
     return draw, float(_log_scaling(scaling).sum())
 
 
 def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
-                       params: HmmParams, rng: np.random.Generator) -> np.ndarray:
+                       params: Params, rng: np.random.Generator) -> np.ndarray:
     """Draw the hidden-state grid from p(H | Y_obs, theta).
 
     States are drawn for every day, including days with missing
@@ -209,13 +215,13 @@ def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
 
 
 def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
-                       params: HmmParams) -> np.ndarray:
+                       params: Params) -> np.ndarray:
     """Exact p(H_it = s | Y_obs, theta), shape (N, T, S)."""
     return forward_backward(panel, design, params).smoothed
 
 
 def viterbi(panel: ObservationPanel, design: DesignMatrix,
-            params: HmmParams) -> list[ViterbiPath]:
+            params: Params) -> list[ViterbiPath]:
     """Most likely hidden path per subject (max-product DP, all subjects
     at once).
 
@@ -245,7 +251,7 @@ def viterbi(panel: ObservationPanel, design: DesignMatrix,
 
 
 def log_joint_hmm(panel: ObservationPanel, design: DesignMatrix,
-                  params: HmmParams, hidden: np.ndarray) -> float:
+                  params: Params, hidden: np.ndarray) -> float:
     """log p(H, Y_obs | theta) for a given hidden grid (checking aid for
     decoded paths; emissions count only on observed cells)."""
     h = np.asarray(hidden, dtype=np.int64)
@@ -262,24 +268,14 @@ def log_joint_hmm(panel: ObservationPanel, design: DesignMatrix,
 
 
 def pointwise_predictive(panel: ObservationPanel, design: DesignMatrix,
-                         params, mode: str = "one_step") -> np.ndarray:
-    """Per-cell predictive probability of each observed value.
+                         params: Params) -> np.ndarray:
+    """Per-cell predictive probability of each observed value: the forward
+    filter's normalizer of that day, NaN on missing cells.
 
-    ``one_step`` (HMM parameters): p(y_t | y_{1..t-1}, theta) from the
-    forward recursion.  ``markov`` (Markov parameters): p(y_t | previous
-    observed value, theta), with multi-step transitions across gaps.
-    Either is the forward filter's normalizer of that day.  Missing cells
-    are reported as NaN.
+    For HMM parameters it is p(y_t | y_{1..t-1}, theta); for Markov
+    parameters, p(y_t | previous observed value, theta), with multi-step
+    transitions across gaps.
     """
-    if mode == "one_step":
-        if not isinstance(params, HmmParams):
-            raise TypeError("one_step mode requires HMM parameters")
-        L = _hmm_factors(panel, params.P)
-    elif mode == "markov":
-        if not isinstance(params, MarkovParams):
-            raise TypeError("markov mode requires Markov parameters")
-        L = _markov_factors(panel, params.m_levels)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    _, scaling = _filter_all(L, transition_matrices(params, design), params.pi)
+    _, scaling = _filter_all(_factors(panel, params),
+                             transition_matrices(params, design), params.pi)
     return np.where(panel.mask, np.nan, scaling)

@@ -29,14 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import inference
+from . import diagnostics, inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
-from .model import (
-    HmmParams,
-    MarkovParams,
-    inverse_softmax,
-)
+from .model import Params, inverse_softmax
 
 TARGET_ACCEPTANCE = 0.44  # optimal for univariate random-walk proposals
 _ADAPT_BATCH = 50
@@ -92,10 +88,8 @@ class SamplerConfig:
     n_keep: int = 10_000
     rw_step_alpha: float = 0.4
     rw_step_beta: float = 0.1
-    adapt_during_burnin: bool = True
     jitter_scale: float = 0.1
     seed: int = 0
-    store_hidden: bool = False
 
     def __post_init__(self):
         if self.n_chains < 1 or self.n_keep < 1 or self.n_burnin < 0:
@@ -106,16 +100,13 @@ class SamplerConfig:
 
 @dataclass
 class Chain:
-    """Post-burn-in draws of one chain, stacked along the first axis."""
+    """Post-burn-in draws of one chain, stacked along the first axis;
+    ``draws`` holds ``P`` only for the HMM."""
 
-    model_kind: str
     chain_index: int
     draws: dict
     deviance: np.ndarray
     acceptance: dict
-    final_hidden: np.ndarray | None = None
-    hidden_occupancy: np.ndarray | None = None
-    hidden_trace: np.ndarray | None = None
 
     @property
     def n_kept(self) -> int:
@@ -123,20 +114,19 @@ class Chain:
 
     def params_at(self, g: int):
         """Reconstruct the full parameter object of draw g."""
-        d = self.draws
-        if self.model_kind == "hmm":
-            return HmmParams(alpha=d["alpha"][g], beta=d["beta"][g], mu=d["mu"][g],
-                             sigma=d["sigma"][g], pi=d["pi"][g], P=d["P"][g])
-        return MarkovParams(alpha=d["alpha"][g], beta=d["beta"][g], mu=d["mu"][g],
-                            sigma=d["sigma"][g], pi=d["pi"][g])
+        return Params(**{name: a[g] for name, a in self.draws.items()})
 
 
 @dataclass
 class ChainSet:
     """Merged multi-chain posterior sample."""
 
-    model_kind: str
     chains: list
+
+    @property
+    def model_kind(self) -> str:
+        """``"hmm"`` when the draws hold emissions ``P``, else ``"markov"``."""
+        return "hmm" if "P" in self.chains[0].draws else "markov"
 
     @property
     def n_chains(self) -> int:
@@ -179,16 +169,14 @@ class ChainSet:
                 return m / m.sum(axis=-1, keepdims=True)
             raise InputError(f"unknown averaging space {average!r}")
 
-        common = dict(
+        return Params(
             alpha=self.stacked("alpha").mean(axis=0),
             beta=self.stacked("beta").mean(axis=0),
             mu=self.stacked("mu").mean(axis=0),
             sigma=self.stacked("sigma").mean(axis=0),
             pi=prob_mean("pi"),
+            P=prob_mean("P") if self.model_kind == "hmm" else None,
         )
-        if self.model_kind == "hmm":
-            return HmmParams(P=prob_mean("P"), **common)
-        return MarkovParams(**common)
 
 
 # -- EM initialization ------------------------------------------------------
@@ -289,12 +277,14 @@ def empirical_markov_fit(panel: ObservationPanel) -> EmFit:
 
 def init_chain(em_fit: EmFit, n_subjects: int, n_covariates: int,
                chain_index: int = 0, jitter_scale: float = 0.1,
-               model_kind: str = "hmm", seed: int = 0):
+               seed: int = 0) -> Params:
     """Starting parameters anchored at the pooled fit.
 
     beta starts at zero, mu at the softmax inverse of the pooled
     transition rows (so the implied matrix at alpha = mu, x = 0 equals the
     pooled matrix), alpha at mu plus a small per-chain jitter, sigma at 1.
+    An anchor with emissions (:func:`em_initialize`) gives an HMM start,
+    one without (:func:`empirical_markov_fit`) a Markov start.
     """
     A = em_fit.transition
     R = A.shape[0]
@@ -306,13 +296,11 @@ def init_chain(em_fit: EmFit, n_subjects: int, n_covariates: int,
     sigma = np.ones((R, K))
     pi = np.clip(em_fit.initial, 1e-6, None)
     pi = pi / pi.sum()
-    if model_kind == "hmm":
+    P = None
+    if em_fit.emissions is not None:
         P = np.clip(em_fit.emissions, 1e-6, None)
         P = P / P.sum(axis=1, keepdims=True)
-        return HmmParams(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)
-    if model_kind == "markov":
-        return MarkovParams(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi)
-    raise InputError(f"unknown model kind {model_kind!r}")
+    return Params(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)
 
 
 # -- complete-data multinomial-logit machinery ------------------------------
@@ -522,7 +510,7 @@ def update_pi(params, first_values: np.ndarray, prior: PriorSpec,
     params.pi[...] = rng.dirichlet(prior.dirichlet_concentration + counts)
 
 
-def update_emissions(params: HmmParams, hidden: np.ndarray,
+def update_emissions(params: Params, hidden: np.ndarray,
                      panel: ObservationPanel, prior: PriorSpec,
                      rng: np.random.Generator) -> None:
     """Dirichlet draw of each emission row from (hidden, observed-level)
@@ -535,7 +523,7 @@ def update_emissions(params: HmmParams, hidden: np.ndarray,
         params.P[s] = rng.dirichlet(prior.dirichlet_concentration + counts[s])
 
 
-def sample_missing_y(params: MarkovParams, panel: ObservationPanel,
+def sample_missing_y(params: Params, panel: ObservationPanel,
                      design: DesignMatrix, rng: np.random.Generator) -> np.ndarray:
     """Impute every missing run from its exact conditional given the
     flanking observed values (forward filter / backward sample over the
@@ -545,27 +533,18 @@ def sample_missing_y(params: MarkovParams, panel: ObservationPanel,
 
 # -- chain orchestration ----------------------------------------------------
 
-def _deviance(model_kind: str, panel, design, params) -> float:
-    if model_kind == "hmm":
-        return -2.0 * inference.log_likelihood_hmm(panel, design, params)
-    return -2.0 * inference.log_likelihood_markov(panel, design, params)
-
-
-def run_chain(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
-              prior: PriorSpec, config: SamplerConfig, init_params,
+def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
+              config: SamplerConfig, init_params: Params,
               chain_index: int = 0) -> Chain:
     """Run one chain from ``init_params`` and return its post-burn-in draws.
 
-    Fully reproducible from ``(config.seed, chain_index)`` and the start,
-    which :func:`run_chains` builds with :func:`init_chain`.  Each kept
-    draw's deviance comes from the next sweep's forward filter, which runs
-    on exactly that draw's parameters; only the last kept draw needs a
-    likelihood pass of its own.  Hidden-state storage follows
-    ``config.store_hidden``: by default only the final iteration's grid
-    and an occupancy tally are kept.
+    The start decides the model: the HMM when it holds emissions ``P``,
+    the Markov model otherwise.  Fully reproducible from
+    ``(config.seed, chain_index)`` and the start, which :func:`run_chains`
+    builds with :func:`init_chain`.  Each kept draw's deviance comes from
+    the next sweep's forward filter, which runs on exactly that draw's
+    parameters; only the last kept draw needs a likelihood pass of its own.
     """
-    if model_kind not in ("hmm", "markov"):
-        raise InputError(f"unknown model kind {model_kind!r}")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, chain_index)))
     params = init_params.copy()
     R, K, p = params.beta.shape
@@ -576,31 +555,23 @@ def run_chain(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     acc_alpha_kept = np.zeros((R, K))
     acc_beta_kept = np.zeros((R, K, p))
     n_total = config.n_burnin + config.n_keep
-    kept = {name: [] for name in
-            ("alpha", "beta", "mu", "sigma", "pi") + (("P",) if model_kind == "hmm" else ())}
+    kept = {name: [] for name, a in vars(params).items() if a is not None}
     deviance = np.zeros(config.n_keep)
-    occupancy = (np.zeros((panel.n_subjects, panel.n_days, params.n_states))
-                 if model_kind == "hmm" else None)
-    hidden_trace = [] if (config.store_hidden and model_kind == "hmm") else None
-    hidden = None
     adapt_round = 0
     for g in range(n_total):
         seq, loglik = inference._draw_with_log_likelihood(panel, design, params, rng)
         if g > config.n_burnin:  # params are still kept draw g - 1
             deviance[g - 1 - config.n_burnin] = -2.0 * loglik
-        if model_kind == "hmm":
-            hidden = seq
         acc_a = update_alpha(params, seq, design, prior, rng, steps_alpha)
         acc_b = update_beta(params, seq, design, prior, rng, steps_beta)
         update_mu(params, prior, rng)
         update_sigma(params, prior, rng)
         update_scale_joint(params, seq, design, prior, rng)
         update_location_joint(params, seq, design, prior, rng)
-        if model_kind == "hmm":
-            update_emissions(params, hidden, panel, prior, rng)
+        if params.P is not None:
+            update_emissions(params, seq, panel, prior, rng)
         update_pi(params, seq[:, 0], prior, rng)
-        in_burnin = g < config.n_burnin
-        if in_burnin and config.adapt_during_burnin:
+        if g < config.n_burnin:
             acc_alpha_batch += acc_a
             acc_beta_batch += acc_b
             if (g + 1) % _ADAPT_BATCH == 0:
@@ -614,30 +585,20 @@ def run_chain(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
                 np.clip(steps_beta, 1e-3, 50.0, out=steps_beta)
                 acc_alpha_batch[...] = 0.0
                 acc_beta_batch[...] = 0.0
-        if not in_burnin:
+        else:
             acc_alpha_kept += acc_a
             acc_beta_kept += acc_b
             for name in kept:
                 kept[name].append(getattr(params, name).copy())
-            if occupancy is not None:
-                idx = np.eye(params.n_states)[hidden - 1]
-                occupancy += idx
-            if hidden_trace is not None:
-                hidden_trace.append(hidden.copy())
-    deviance[-1] = _deviance(model_kind, panel, design, params)
-    draws = {name: np.stack(values) for name, values in kept.items()}
+    deviance[-1] = diagnostics.deviance(panel, design, params)
     return Chain(
-        model_kind=model_kind,
         chain_index=chain_index,
-        draws=draws,
+        draws={name: np.stack(values) for name, values in kept.items()},
         deviance=deviance,
         acceptance={
             "alpha": acc_alpha_kept / config.n_keep,
             "beta": acc_beta_kept / config.n_keep,
         },
-        final_hidden=hidden.copy() if hidden is not None else None,
-        hidden_occupancy=occupancy / config.n_keep if occupancy is not None else None,
-        hidden_trace=np.stack(hidden_trace) if hidden_trace else None,
     )
 
 
@@ -667,10 +628,9 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     else:
         raise InputError(f"unknown model kind {model_kind!r}")
     starts = [init_chain(anchor, panel.n_subjects, design.p, chain_index=c,
-                         jitter_scale=config.jitter_scale,
-                         model_kind=model_kind, seed=config.seed)
+                         jitter_scale=config.jitter_scale, seed=config.seed)
               for c in range(config.n_chains)]
-    run = functools.partial(run_chain, model_kind, panel, design, prior, config)
+    run = functools.partial(run_chain, panel, design, prior, config)
     indices = range(config.n_chains)
     workers = _chain_workers(config.n_chains)
     if workers == 1:
@@ -682,7 +642,7 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
             chains = list(pool.map(run, starts, indices))
-    return ChainSet(model_kind=model_kind, chains=chains)
+    return ChainSet(chains=chains)
 
 
 def _chain_workers(n_chains: int) -> int:
@@ -710,8 +670,8 @@ def sample_params_from_prior(prior: PriorSpec, n_subjects: int, n_rows: int,
     beta = prior.beta_sd * rng.standard_normal((R, K, n_covariates))
     conc = np.full(R, prior.dirichlet_concentration)
     pi = rng.dirichlet(conc)
+    P = None
     if model_kind == "hmm":
         P = np.stack([rng.dirichlet(np.full(m_levels, prior.dirichlet_concentration))
                       for _ in range(R)])
-        return HmmParams(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)
-    return MarkovParams(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi)
+    return Params(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)

@@ -1,11 +1,13 @@
-"""Parameter containers and generative probability kernels.
+"""The parameter type and generative probability kernels.
 
 Both models share one transition structure: each row of the transition
 matrix is a multinomial logit with per-subject random intercepts and
 fixed covariate effects, with category 1 as the baseline (its logit is
 identically zero).  For the hidden Markov model rows are indexed by the
 previous hidden state; for the first-order Markov model they are indexed
-by the previous observation and there is no emission matrix.
+by the previous observation and there is no emission matrix.  So one
+type, :class:`Params`, holds either model, and its emission matrix
+decides which: ``P`` is None for the Markov model.
 
 Array layouts (N subjects, R rows, K = R - 1 non-baseline targets,
 p covariates, M observed levels):
@@ -14,12 +16,13 @@ p covariates, M observed levels):
   transition from row value r into target value s (2-based targets).
 * ``beta``:  (R, K, p) fixed effects.
 * ``mu``, ``sigma``: (R, K) random-intercept means and sds.
-* ``pi``: (R,) initial distribution; ``P``: (S, M) emissions (HMM only).
+* ``pi``: (R,) initial distribution; ``P``: (S, M) emissions, or None
+  for the Markov model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,74 +41,12 @@ def _check_simplex(v: np.ndarray, what: str) -> None:
 
 
 @dataclass
-class HmmParams:
-    """Complete parameter state of the mixed-effects HMM."""
+class Params:
+    """Complete parameter state of either model.
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    pi: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        self.pi = np.asarray(self.pi, dtype=float)
-        self.P = np.asarray(self.P, dtype=float)
-        self.validate()
-
-    @property
-    def n_states(self) -> int:
-        return self.pi.size
-
-    @property
-    def m_levels(self) -> int:
-        return self.P.shape[1]
-
-    @property
-    def n_subjects(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.beta.shape[2]
-
-    def validate(self) -> None:
-        S = self.n_states
-        K = S - 1
-        if self.alpha.ndim != 3 or self.alpha.shape[1:] != (S, K):
-            raise InputError(f"alpha must have shape (N, {S}, {K})")
-        if self.beta.ndim != 3 or self.beta.shape[:2] != (S, K):
-            raise InputError(f"beta must have shape ({S}, {K}, p)")
-        if self.mu.shape != (S, K) or self.sigma.shape != (S, K):
-            raise InputError(f"mu and sigma must have shape ({S}, {K})")
-        if np.any(self.sigma <= 0):
-            raise InputError("sigma entries must be strictly positive")
-        if self.P.ndim != 2 or self.P.shape[0] != S:
-            raise InputError(f"P must have shape ({S}, M)")
-        _check_simplex(self.pi, "pi")
-        _check_simplex(self.P, "P")
-
-    def copy(self) -> "HmmParams":
-        return HmmParams(
-            alpha=self.alpha.copy(),
-            beta=self.beta.copy(),
-            mu=self.mu.copy(),
-            sigma=self.sigma.copy(),
-            pi=self.pi.copy(),
-            P=self.P.copy(),
-        )
-
-
-@dataclass
-class MarkovParams:
-    """Parameter state of the first-order Markov model.
-
-    Transition rows are indexed by the previous observed level; there is
-    no emission matrix.
+    ``P`` is the HMM's (S, M) emission matrix.  It is None for the
+    first-order Markov model, whose transition rows are the observed
+    levels; the model kind follows from it.
     """
 
     alpha: np.ndarray
@@ -113,6 +54,7 @@ class MarkovParams:
     mu: np.ndarray
     sigma: np.ndarray
     pi: np.ndarray
+    P: np.ndarray | None = None
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
@@ -120,17 +62,18 @@ class MarkovParams:
         self.mu = np.asarray(self.mu, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.pi = np.asarray(self.pi, dtype=float)
+        if self.P is not None:
+            self.P = np.asarray(self.P, dtype=float)
         self.validate()
 
     @property
-    def m_levels(self) -> int:
+    def n_states(self) -> int:
+        """Rows of the transition matrix: hidden states or observed levels."""
         return self.pi.size
 
-    # The transition structure is identical to the HMM's with rows indexed
-    # by observed levels, so shared kernels can treat M as the state count.
     @property
-    def n_states(self) -> int:
-        return self.pi.size
+    def m_levels(self) -> int:
+        return self.pi.size if self.P is None else self.P.shape[1]
 
     @property
     def n_subjects(self) -> int:
@@ -141,26 +84,25 @@ class MarkovParams:
         return self.beta.shape[2]
 
     def validate(self) -> None:
-        M = self.m_levels
-        K = M - 1
-        if self.alpha.ndim != 3 or self.alpha.shape[1:] != (M, K):
-            raise InputError(f"alpha must have shape (N, {M}, {K})")
-        if self.beta.ndim != 3 or self.beta.shape[:2] != (M, K):
-            raise InputError(f"beta must have shape ({M}, {K}, p)")
-        if self.mu.shape != (M, K) or self.sigma.shape != (M, K):
-            raise InputError(f"mu and sigma must have shape ({M}, {K})")
+        R = self.n_states
+        K = R - 1
+        if self.alpha.ndim != 3 or self.alpha.shape[1:] != (R, K):
+            raise InputError(f"alpha must have shape (N, {R}, {K})")
+        if self.beta.ndim != 3 or self.beta.shape[:2] != (R, K):
+            raise InputError(f"beta must have shape ({R}, {K}, p)")
+        if self.mu.shape != (R, K) or self.sigma.shape != (R, K):
+            raise InputError(f"mu and sigma must have shape ({R}, {K})")
         if np.any(self.sigma <= 0):
             raise InputError("sigma entries must be strictly positive")
+        if self.P is not None:
+            if self.P.ndim != 2 or self.P.shape[0] != R:
+                raise InputError(f"P must have shape ({R}, M)")
+            _check_simplex(self.P, "P")
         _check_simplex(self.pi, "pi")
 
-    def copy(self) -> "MarkovParams":
-        return MarkovParams(
-            alpha=self.alpha.copy(),
-            beta=self.beta.copy(),
-            mu=self.mu.copy(),
-            sigma=self.sigma.copy(),
-            pi=self.pi.copy(),
-        )
+    def copy(self) -> "Params":
+        return Params(**{name: None if a is None else a.copy()
+                         for name, a in vars(self).items()})
 
 
 @dataclass(frozen=True)
@@ -261,7 +203,7 @@ def multi_step_matrix(subject: int, start_day: int, gap: int, params,
     return out
 
 
-def emission_prob(state: int, level: int, params: HmmParams) -> float:
+def emission_prob(state: int, level: int, params: Params) -> float:
     """P(Y = level | H = state); both arguments 1-based."""
     return float(params.P[state - 1, level - 1])
 
@@ -302,7 +244,7 @@ def _masked_panel(codes: np.ndarray, mask, m_levels: int) -> ObservationPanel:
     return ObservationPanel(codes=codes, mask=mask, m_levels=m_levels)
 
 
-def simulate_hmm(params: HmmParams, design: DesignMatrix, n_subjects: int,
+def simulate_hmm(params: Params, design: DesignMatrix, n_subjects: int,
                  n_days: int, mask: np.ndarray | None = None,
                  seed=None) -> SimulatedPanel:
     """Forward-simulate hidden states and observations.
@@ -320,7 +262,7 @@ def simulate_hmm(params: HmmParams, design: DesignMatrix, n_subjects: int,
                           hidden=hidden, seed=seed)
 
 
-def simulate_markov(params: MarkovParams, design: DesignMatrix, n_subjects: int,
+def simulate_markov(params: Params, design: DesignMatrix, n_subjects: int,
                     n_days: int, mask: np.ndarray | None = None,
                     seed=None) -> SimulatedPanel:
     """Forward-simulate the observation-level Markov chain."""
@@ -353,24 +295,31 @@ def param_paths(name: str, shape: tuple) -> list:
 
 
 def parse_param_path(path: str) -> tuple:
-    """Inverse of :func:`param_paths`: ``(name, 0-based index tuple)``."""
+    """Inverse of :func:`param_paths`: ``(name, 0-based index tuple)``.
+    ValueError unless the path indexes every axis of the parameter, each
+    at or above its offset."""
     name, idx = path[:-1].split("[")
-    return name, tuple(int(k) - o for k, o in zip(idx.split(","), PATH_OFFSETS[name]))
+    parts, offsets = idx.split(","), PATH_OFFSETS[name]
+    index = tuple(int(k) - o for k, o in zip(parts, offsets))
+    if len(parts) != len(offsets) or min(index) < 0:
+        raise ValueError(f"bad index in {path!r}")
+    return name, index
 
 
 def params_to_text(params) -> str:
     """Serialize parameters to flat key-value text."""
-    lines = [f"# panelhmm-params 1 kind={'hmm' if isinstance(params, HmmParams) else 'markov'}"]
+    lines = [f"# panelhmm-params 1 kind={'markov' if params.P is None else 'hmm'}"]
     for name in PATH_OFFSETS:
-        if hasattr(params, name):  # Markov parameters have no P
-            a = getattr(params, name)
+        a = getattr(params, name)
+        if a is not None:  # Markov parameters have no P
             lines += [f"{path} {float(v)!r}"
                       for path, v in zip(param_paths(name, a.shape), a.ravel())]
     return "\n".join(lines) + "\n"
 
 
 def params_from_text(text: str):
-    """Inverse of :func:`params_to_text`."""
+    """Inverse of :func:`params_to_text`.  The header's kind names the
+    arrays the text must hold, each entry of each exactly once."""
     kind = None
     entries = {}
     for line in text.splitlines():
@@ -389,6 +338,10 @@ def params_from_text(text: str):
             raise InputError(f"malformed params line {line!r}") from None
     if kind not in ("hmm", "markov"):
         raise InputError("missing or invalid params header line")
+    names = [name for name in PATH_OFFSETS if kind == "hmm" or name != "P"]
+    if set(entries) != set(names):
+        raise InputError(f"kind={kind} params hold the arrays {', '.join(names)}; "
+                         f"this text has {', '.join(entries) or 'none'}")
     arrays = {}
     for name, items in entries.items():
         shape = tuple(max(idx[d] for idx, _ in items) + 1
@@ -396,9 +349,10 @@ def params_from_text(text: str):
         a = np.zeros(shape)
         for idx, value in items:
             a[idx] = value
+        if len({idx for idx, _ in items}) != len(items) or len(items) != a.size:
+            raise InputError(f"{name} entries do not fill its shape {shape} once each")
         arrays[name] = a
-    cls = HmmParams if kind == "hmm" else MarkovParams
-    return cls(**arrays)
+    return Params(**arrays)
 
 
 def save_params(params, path) -> None:

@@ -63,8 +63,10 @@ def load_chain_set(directory) -> ChainSet:
     if (any(arrays[name].shape[:1] != arrays["chain_index"].shape for name in required)
             or any(arrays[name].shape[:2] != arrays["deviance"].shape for name in _PARAMS[kind])):
         raise InputError(f"{path}: arrays disagree on the number of chains or draws")
-    return ChainSet(model_kind=kind, chains=[
-        Chain(model_kind=kind, chain_index=int(c),
+    if arrays["deviance"].size == 0:
+        raise InputError(f"{path}: no draws")
+    return ChainSet(chains=[
+        Chain(chain_index=int(c),
               draws={name: arrays[name][i] for name in _PARAMS[kind]},
               deviance=arrays["deviance"][i],
               acceptance={move: arrays[f"acceptance_{move}"][i] for move in _MOVES})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panelhmm.dataset import DesignMatrix, ObservationPanel, RawCovariates, build_design
-from panelhmm.model import HmmParams, MarkovParams, transition_matrices
+from panelhmm.model import Params, transition_matrices
 
 # acceptance verdict lines, echoed after the test report by the summary hook
 ACCEPTANCE_LINES = []
@@ -50,7 +50,7 @@ def random_hmm_params(n_subjects, S, M, p, rng, concentrated=False):
         P = P / P.sum(axis=1, keepdims=True)
     else:
         P = rng.dirichlet(np.ones(M), size=S)
-    return HmmParams(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)
+    return Params(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)
 
 
 def random_markov_params(n_subjects, M, p, rng):
@@ -59,7 +59,7 @@ def random_markov_params(n_subjects, M, p, rng):
     mu = rng.normal(0.0, 0.5, (M, M - 1))
     sigma = rng.uniform(0.3, 1.2, (M, M - 1))
     pi = rng.dirichlet(np.ones(M))
-    return MarkovParams(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi)
+    return Params(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi)
 
 
 def random_instance(rng, n_subjects=1, n_days=5, S=3, M=3, p=2,

@@ -51,8 +51,7 @@ from panelhmm.mcmc import (
     update_sigma,
 )
 from panelhmm.model import (
-    HmmParams,
-    MarkovParams,
+    Params,
     inverse_softmax,
     simulate_hmm,
     softmax_rows,
@@ -80,9 +79,9 @@ def _verdict(number, description, ok):
 def _one_draw_chain_set(params):
     draws = {name: getattr(params, name)[None].copy()
              for name in ("alpha", "beta", "mu", "sigma", "pi", "P")}
-    chain = Chain(model_kind="hmm", chain_index=0, draws=draws,
-                  deviance=np.zeros(1), acceptance={})
-    return ChainSet(model_kind="hmm", chains=[chain])
+    chain = Chain(chain_index=0, draws=draws, deviance=np.zeros(1),
+                  acceptance={})
+    return ChainSet(chains=[chain])
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +169,7 @@ def test_criterion_04_conjugate_updates():
     rng = np.random.default_rng(404)
     n_draws = 100_000
     N = 10
-    params = HmmParams(
+    params = Params(
         alpha=rng.normal(0.3, 0.9, (N, 3, 2)), beta=np.zeros((3, 2, 2)),
         mu=rng.normal(0, 0.5, (3, 2)), sigma=rng.uniform(0.5, 1.0, (3, 2)),
         pi=np.full(3, 1 / 3), P=np.full((3, 3), 1 / 3),
@@ -295,7 +294,7 @@ def test_criterion_06_synthetic_recovery():
         [0.014, 0.020, 0.966],
     ])
     sigma_true = np.full((S, S - 1), 0.4)
-    truth = HmmParams(
+    truth = Params(
         alpha=mu_true[None] + sigma_true[None]
         * rng.standard_normal((N, S, S - 1)),
         beta=rng.normal(0.0, 0.3, (S, S - 1, p)),
@@ -343,7 +342,7 @@ def test_criterion_07_stationary_solver():
     # covariate-dependent per-subject Markov transition matrices run
     # through the same solver
     design = random_design(3, 5, rng, p=2)
-    mparams = MarkovParams(
+    mparams = Params(
         alpha=rng.normal(0, 0.5, (3, 3, 2)), beta=rng.normal(0, 0.3, (3, 2, 2)),
         mu=np.zeros((3, 2)), sigma=np.ones((3, 2)),
         pi=np.array([0.6, 0.3, 0.1]),
@@ -421,7 +420,7 @@ def test_criterion_10_ppc_calibration():
     for rep in range(n_reps):
         mu = rng.normal(0.0, 0.7, (3, 2))
         sigma = rng.uniform(0.3, 0.8, (3, 2))
-        params = HmmParams(
+        params = Params(
             alpha=mu[None] + sigma[None] * rng.standard_normal((N, 3, 2)),
             beta=rng.normal(0.0, 0.3, (3, 2, 2)),
             mu=mu, sigma=sigma,

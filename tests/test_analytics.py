@@ -31,15 +31,13 @@ from conftest import (
 )
 
 
-def one_draw_chain_set(params, model_kind="hmm"):
+def one_draw_chain_set(params):
     """A chain set holding a single posterior draw."""
-    draws = {name: getattr(params, name)[None].copy()
-             for name in ("alpha", "beta", "mu", "sigma", "pi")}
-    if model_kind == "hmm":
-        draws["P"] = params.P[None].copy()
-    chain = Chain(model_kind=model_kind, chain_index=0, draws=draws,
-                  deviance=np.zeros(1), acceptance={})
-    return ChainSet(model_kind=model_kind, chains=[chain])
+    draws = {name: a[None].copy() for name, a in vars(params).items()
+             if a is not None}
+    chain = Chain(chain_index=0, draws=draws, deviance=np.zeros(1),
+                  acceptance={})
+    return ChainSet(chains=[chain])
 
 
 class TestComparisonLevels:
@@ -310,10 +308,10 @@ class TestSerialDependence:
             *random_instance(rng, n_subjects=6, n_days=25, missing_rate=0.15))
         markov_params = random_markov_params(6, 3, 2, rng)
         cs_h = one_draw_chain_set(hmm_params)
-        cs_m = one_draw_chain_set(markov_params, model_kind="markov")
+        cs_m = one_draw_chain_set(markov_params)
         table = serial_dependence_table(panel, design, cs_h, cs_m)
-        prob_h = pointwise_predictive(panel, design, hmm_params, "one_step")
-        prob_m = pointwise_predictive(panel, design, markov_params, "markov")
+        prob_h = pointwise_predictive(panel, design, hmm_params)
+        prob_m = pointwise_predictive(panel, design, markov_params)
         obs = ~panel.mask
         for row in table:
             i, j, third = row["first"], row["second"], row["third"]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from panelhmm import cli
+from panelhmm import cli, storage
 from panelhmm.cli import main
 from panelhmm.dataset import (
     DesignMatrix,
@@ -184,7 +184,16 @@ class TestDiagnose:
         conv = (out / "convergence.csv").read_text().splitlines()
         assert conv[0] == "# schema-version: 1"
         assert conv[1] == "parameter,mean,sd,q025,q975,rhat,ess"
-        assert any(line.startswith("pi[0],") for line in conv)
+        # labels as in acceptance.csv and params files: pi[1] is the first
+        # initial probability
+        rows = {r[0]: r for r in csv.reader(conv[2:])}
+        assert "pi[0]" not in rows
+        stored = storage.load_chain_set(fitted)
+        assert float(rows["pi[1]"][1]) == pytest.approx(
+            stored.stacked("pi")[:, 0].mean(), rel=1e-12)
+        acceptance = (out / "acceptance.csv").read_text().splitlines()[2:]
+        beta_paths = {r[0] for r in csv.reader(acceptance) if r[0].startswith("beta")}
+        assert len(beta_paths) == 3 * 2 * 4 and beta_paths <= rows.keys()
         dic_lines = (out / "dic.csv").read_text().splitlines()
         header = dic_lines[1].split(",")
         values = [float(v) for v in dic_lines[2].split(",")]
@@ -401,6 +410,23 @@ class TestSimulate:
             ]) == 0
             outs.append((out / "y_sim.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("case", ["only-alpha", "markov-with-P"])
+    def test_params_not_matching_kind_exit_2(self, workspace, tmp_path, case):
+        lines = (workspace / "params.txt").read_text().splitlines()
+        if case == "only-alpha":
+            lines = [line for line in lines if line.startswith(("#", "alpha["))]
+        else:
+            lines[0] = lines[0].replace("kind=hmm", "kind=markov")
+        params_path = tmp_path / "params.txt"
+        params_path.write_text("\n".join(lines) + "\n")
+        code = main([
+            "simulate", "--params", str(params_path),
+            "--x", str(workspace / "x.csv"), "--days", "12",
+            "--out", str(tmp_path / "sim"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "sim").exists()
 
 
 class TestErrorChannel:

@@ -9,10 +9,10 @@ from panelhmm.diagnostics import (
     scalar_summaries,
 )
 from panelhmm.errors import InputError, NumericalError
-from panelhmm.inference import log_likelihood_hmm
+from panelhmm.inference import log_likelihood_hmm, log_likelihood_markov
 from panelhmm.mcmc import SamplerConfig, run_chains
 
-from conftest import random_instance
+from conftest import random_instance, random_markov_params
 
 
 class TestPotentialScaleReduction:
@@ -103,11 +103,14 @@ def summaries():
 
 class TestDic:
     def test_deviance_definition(self, rng):
+        # the parameters decide the likelihood: HMM with P, Markov without
         panel, design, params = random_instance(rng, n_subjects=3, n_days=8)
-        expected = -2.0 * log_likelihood_hmm(panel, design, params)
-        assert deviance(panel, design, params, "hmm") == pytest.approx(expected)
-        with pytest.raises(InputError):
-            deviance(panel, design, params, "arma")
+        markov = random_markov_params(3, 3, design.p, rng)
+        for theta, loglik in ((params, log_likelihood_hmm),
+                              (markov, log_likelihood_markov)):
+            assert deviance(panel, design, theta) == \
+                -2.0 * loglik(panel, design, theta)
+        assert deviance(panel, design, params) != deviance(panel, design, markov)
 
     def test_identities_exact(self, fit):
         panel, design, cs = fit
@@ -122,7 +125,7 @@ class TestDic:
     def test_deviance_at_mean_is_recomputed(self, fit):
         panel, design, cs = fit
         report = dic(cs, panel, design)
-        expected = deviance(panel, design, cs.posterior_mean_params(), "hmm")
+        expected = deviance(panel, design, cs.posterior_mean_params())
         assert report.deviance_at_mean == pytest.approx(expected, abs=1e-12)
 
     def test_logit_averaging_option(self, fit):
@@ -136,20 +139,25 @@ class TestDic:
 class TestScalarSummaries:
     def test_paths_cover_all_scalars(self, summaries):
         cs, rows = summaries
+        # the params text format's labels: rows and targets 1-based,
+        # subjects 0-based
         names = {r["parameter"] for r in rows}
-        assert "pi[0]" in names
-        assert "mu[0,0]" in names
+        assert {"pi[1]", "pi[3]", "mu[1,2]", "mu[3,3]", "alpha[0,1,2]",
+                "alpha[3,3,3]", "beta[1,2,0]", "P[3,3]", "deviance"} <= names
+        assert not names & {"pi[0]", "mu[0,0]", "alpha[0,0,0]", "P[0,0]"}
         n_scalars = sum(np.prod(cs.chains[0].draws[k].shape[1:], dtype=int)
                         for k in cs.chains[0].draws) + 1  # + deviance
         assert len(rows) == n_scalars
 
     def test_statistics_match_pooled_draws(self, summaries):
         cs, rows = summaries
-        row = next(r for r in rows if r["parameter"] == "pi[1]")
-        pooled = cs.stacked("pi")[:, 1]
-        assert row["mean"] == pytest.approx(pooled.mean())
-        assert row["q025"] == pytest.approx(np.quantile(pooled, 0.025))
-        assert row["q975"] == pytest.approx(np.quantile(pooled, 0.975))
+        for path, pooled in (("pi[2]", cs.stacked("pi")[:, 1]),
+                             ("mu[2,3]", cs.stacked("mu")[:, 1, 1]),
+                             ("alpha[3,1,2]", cs.stacked("alpha")[:, 3, 0, 0])):
+            row = next(r for r in rows if r["parameter"] == path)
+            assert row["mean"] == pytest.approx(pooled.mean())
+            assert row["q025"] == pytest.approx(np.quantile(pooled, 0.025))
+            assert row["q975"] == pytest.approx(np.quantile(pooled, 0.975))
 
     def test_single_chain_rhat_nan(self):
         rng = np.random.default_rng(31)

@@ -14,7 +14,7 @@ from panelhmm.inference import (
     smoothed_marginals,
     viterbi,
 )
-from panelhmm.model import HmmParams, transition_matrices
+from panelhmm.model import Params, transition_matrices
 
 from conftest import (
     enumerate_paths,
@@ -160,9 +160,9 @@ class TestViterbi:
                                  m_levels=3),
                 DesignMatrix(values=design.values[one], standardizations=(),
                              names=design.names),
-                HmmParams(alpha=params.alpha[one], beta=params.beta,
-                          mu=params.mu, sigma=params.sigma, pi=params.pi,
-                          P=params.P),
+                Params(alpha=params.alpha[one], beta=params.beta,
+                       mu=params.mu, sigma=params.sigma, pi=params.pi,
+                       P=params.P),
             )
             own = viterbi(*alone)[0]
             np.testing.assert_array_equal(path.states, own.states)
@@ -248,7 +248,7 @@ class TestPointwisePredictive:
         # products of one-step predictives telescope to the likelihood
         panel, design, params = random_instance(rng, n_subjects=3, n_days=7,
                                                 missing_rate=0.0)
-        probs = pointwise_predictive(panel, design, params, mode="one_step")
+        probs = pointwise_predictive(panel, design, params)
         assert np.log(probs).sum() == pytest.approx(
             log_likelihood_hmm(panel, design, params), rel=1e-10)
 
@@ -257,7 +257,7 @@ class TestPointwisePredictive:
         params = random_markov_params(3, 3, 2, rng)
         codes = rng.integers(1, 4, (3, 7))
         panel = ObservationPanel(codes=codes, mask=np.zeros((3, 7), bool))
-        probs = pointwise_predictive(panel, design, params, mode="markov")
+        probs = pointwise_predictive(panel, design, params)
         assert np.log(probs).sum() == pytest.approx(
             log_likelihood_markov(panel, design, params), rel=1e-10)
 
@@ -268,10 +268,3 @@ class TestPointwisePredictive:
         np.testing.assert_array_equal(np.isnan(probs), panel.mask)
         observed = probs[~panel.mask]
         assert np.all((observed > 0) & (observed <= 1))
-
-    def test_mode_parameter_mismatch(self, rng):
-        panel, design, params = random_instance(rng)
-        with pytest.raises(TypeError):
-            pointwise_predictive(panel, design, params, mode="markov")
-        with pytest.raises(ValueError):
-            pointwise_predictive(panel, design, params, mode="smoothed")

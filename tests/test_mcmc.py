@@ -31,8 +31,7 @@ from panelhmm.mcmc import (
 )
 from panelhmm.inference import log_likelihood_hmm, log_likelihood_markov
 from panelhmm.model import (
-    HmmParams,
-    MarkovParams,
+    Params,
     softmax_rows,
     transition_matrices,
 )
@@ -144,7 +143,7 @@ class TestMetropolisUpdates:
         numerically integrable closed form."""
         design = random_design(1, T + 1, rng, p=1)
         seq = rng.integers(1, 3, size=(1, T + 1))
-        params = HmmParams(
+        params = Params(
             alpha=np.zeros((1, 2, 1)), beta=np.zeros((2, 1, 1)),
             mu=np.zeros((2, 1)), sigma=np.full((2, 1), 0.8),
             pi=np.array([0.5, 0.5]), P=np.full((2, 3), 1.0 / 3),
@@ -422,8 +421,11 @@ class TestInitChain:
     def test_markov_kind(self, rng):
         panel, design, _ = random_instance(rng, n_subjects=5, n_days=20)
         fit = empirical_markov_fit(panel)
-        params = init_chain(fit, 5, design.p, model_kind="markov")
-        assert isinstance(params, MarkovParams)
+        # an anchor without emissions gives a Markov start
+        params = init_chain(fit, 5, design.p)
+        assert params.P is None
+        assert params.alpha.shape == (5, 3, 2)
+        assert init_chain(em_initialize(panel, S=2), 5, design.p).P.shape == (2, 3)
 
 
 class TestMissingImputation:
@@ -457,11 +459,10 @@ class TestMissingImputation:
 
 
 class TestChainOrchestration:
-    def _small_fit(self, rng, model_kind="hmm", **overrides):
+    def _small_fit(self, rng, model_kind="hmm"):
         panel, design, _ = random_instance(rng, n_subjects=6, n_days=20,
                                            missing_rate=0.1)
-        config = SamplerConfig(n_chains=2, n_burnin=30, n_keep=25, seed=7,
-                               **overrides)
+        config = SamplerConfig(n_chains=2, n_burnin=30, n_keep=25, seed=7)
         return panel, design, run_chains(model_kind, panel, design,
                                          config=config)
 
@@ -502,14 +503,6 @@ class TestChainOrchestration:
         np.testing.assert_allclose(P.sum(axis=2), 1.0, atol=1e-10)
         assert np.all(cs.stacked("sigma") > 0)
 
-    def test_hidden_storage_options(self, rng):
-        panel, design, cs = self._small_fit(rng, store_hidden=True)
-        chain = cs.chains[0]
-        assert chain.hidden_trace.shape == (25, 6, 20)
-        assert chain.final_hidden.shape == (6, 20)
-        occ = chain.hidden_occupancy
-        np.testing.assert_allclose(occ.sum(axis=2), 1.0, atol=1e-12)
-
     def test_posterior_mean_params_valid(self, rng):
         _, _, cs = self._small_fit(rng)
         for average in ("probability", "logit"):
@@ -536,15 +529,7 @@ def _start(model_kind, panel, design, config, chain_index):
     else:
         anchor = empirical_markov_fit(panel)
     return init_chain(anchor, panel.n_subjects, design.p, chain_index=chain_index,
-                      jitter_scale=config.jitter_scale, model_kind=model_kind,
-                      seed=config.seed)
-
-
-def _assert_same(a, b):
-    if b is None:
-        assert a is None
-    else:
-        np.testing.assert_array_equal(a, b)
+                      jitter_scale=config.jitter_scale, seed=config.seed)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
@@ -561,12 +546,12 @@ class TestChainPool:
         panel, design, _ = random_instance(rng, n_subjects=6, n_days=20,
                                            missing_rate=0.1)
         # 50 burn-in sweeps: one step-size adaptation round
-        config = SamplerConfig(n_chains=3, n_burnin=50, n_keep=8, seed=11,
-                               store_hidden=True)
+        config = SamplerConfig(n_chains=3, n_burnin=50, n_keep=8, seed=11)
         cs = run_chains(model_kind, panel, design, config=config)
+        assert cs.model_kind == model_kind
         assert [c.chain_index for c in cs.chains] == [0, 1, 2]
         for c, chain in enumerate(cs.chains):
-            ref = run_chain(model_kind, panel, design, PriorSpec(), config,
+            ref = run_chain(panel, design, PriorSpec(), config,
                             _start(model_kind, panel, design, config, c),
                             chain_index=c)
             assert chain.draws.keys() == ref.draws.keys()
@@ -577,11 +562,6 @@ class TestChainPool:
             for name in ref.acceptance:
                 np.testing.assert_array_equal(chain.acceptance[name],
                                               ref.acceptance[name])
-            _assert_same(chain.hidden_occupancy, ref.hidden_occupancy)
-            _assert_same(chain.final_hidden, ref.final_hidden)
-            _assert_same(chain.hidden_trace, ref.hidden_trace)
-        if model_kind == "hmm":
-            assert cs.chains[0].hidden_trace.shape == (8, 6, 20)
 
     def test_workers_capped_by_chains_and_cpus(self):
         cpus = len(os.sched_getaffinity(0))
@@ -606,10 +586,12 @@ class TestDevianceReuse:
         panel, design, _ = random_instance(rng, n_subjects=5, n_days=15,
                                            missing_rate=0.2)
         config = SamplerConfig(n_chains=1, n_burnin=n_burnin, n_keep=n_keep, seed=2)
-        chain = run_chain(model_kind, panel, design, PriorSpec(), config,
+        chain = run_chain(panel, design, PriorSpec(), config,
                           _start(model_kind, panel, design, config, 0))
         loglik = (log_likelihood_hmm if model_kind == "hmm"
                   else log_likelihood_markov)
+        # the start decides the model: emissions are kept only for the HMM
+        assert ("P" in chain.draws) == (model_kind == "hmm")
         assert chain.deviance.shape == (n_keep,)
         for g in range(n_keep):
             expected = -2.0 * loglik(panel, design, chain.params_at(g))
@@ -629,7 +611,7 @@ class TestDevianceReuse:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(inference, name, counted)
-        run_chain(model_kind, panel, design, PriorSpec(), config, start)
+        run_chain(panel, design, PriorSpec(), config, start)
         assert len(calls) == 1
 
 
@@ -642,6 +624,6 @@ class TestPriorSampling:
         prior = PriorSpec(sigma_prior="inv-chisq", sigma_nu0=5.0, sigma_s0sq=0.5)
         params = sample_params_from_prior(prior, 4, 3, 2, 3, "hmm", rng)
         params.validate()
-        assert isinstance(params, HmmParams)
+        assert params.P.shape == (3, 3)
         markov = sample_params_from_prior(prior, 4, 3, 2, 3, "markov", rng)
-        assert isinstance(markov, MarkovParams)
+        assert markov.P is None

@@ -4,8 +4,7 @@ import pytest
 from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
 from panelhmm.model import (
-    HmmParams,
-    MarkovParams,
+    Params,
     emission_prob,
     inverse_softmax,
     load_params,
@@ -57,18 +56,44 @@ class TestSoftmax:
         assert p[0] > 0.999
 
 
-class TestParams:
-    def test_validate_catches_bad_simplex(self, rng):
-        params = random_hmm_params(2, 3, 3, 2, rng)
-        params.pi[...] = [0.5, 0.5, 0.5]
-        with pytest.raises(InputError):
-            params.validate()
+def _set(index, value):
+    """An edit that returns a copy of an array with ``index`` set."""
+    def edit(a):
+        a = a.copy()
+        a[index] = value
+        return a
+    return edit
 
-    def test_validate_catches_nonpositive_sigma(self, rng):
-        params = random_hmm_params(2, 3, 3, 2, rng)
-        params.sigma[0, 0] = 0.0
+
+# (case, field, edit) rejections shared by both models, then the HMM's own
+_INVALID = [
+    ("pi-not-simplex", "pi", _set(slice(None), 0.5)),
+    ("sigma-zero", "sigma", _set((0, 0), 0.0)),
+    ("sigma-negative", "sigma", _set((2, 1), -0.5)),
+    ("alpha-shape", "alpha", lambda a: a[:, :, :1]),
+    ("beta-shape", "beta", lambda a: a[:2]),
+    ("mu-shape", "mu", lambda a: a[:, :1]),
+]
+_INVALID_HMM = [
+    ("P-rows", "P", lambda a: a[:2]),
+    ("P-not-simplex", "P", _set(1, 0.5)),
+]
+
+
+class TestParams:
+    @pytest.mark.parametrize("kind, field, edit", [
+        pytest.param(kind, field, edit, id=f"{kind}-{case}")
+        for kind in ("hmm", "markov") for case, field, edit in _INVALID
+    ] + [pytest.param("hmm", field, edit, id=f"hmm-{case}")
+         for case, field, edit in _INVALID_HMM])
+    def test_invalid_params_rejected(self, rng, kind, field, edit):
+        params = (random_hmm_params(2, 3, 3, 2, rng) if kind == "hmm"
+                  else random_markov_params(2, 3, 2, rng))
+        fields = dict(vars(params))
+        Params(**fields)  # the unedited fields are valid
+        fields[field] = edit(fields[field])
         with pytest.raises(InputError):
-            params.validate()
+            Params(**fields)
 
     def test_copy_is_deep(self, rng):
         params = random_hmm_params(2, 3, 3, 2, rng)
@@ -179,7 +204,7 @@ class TestSerialization:
         path = tmp_path / "params.txt"
         save_params(params, path)
         back = load_params(path)
-        assert isinstance(back, HmmParams)
+        assert back.P is not None
         for name in ("alpha", "beta", "mu", "sigma", "pi", "P"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(params, name))
@@ -187,7 +212,7 @@ class TestSerialization:
     def test_markov_round_trip(self, rng):
         params = random_markov_params(2, 3, 2, rng)
         back = params_from_text(params_to_text(params))
-        assert isinstance(back, MarkovParams)
+        assert back.P is None
         np.testing.assert_array_equal(back.alpha, params.alpha)
         np.testing.assert_array_equal(back.pi, params.pi)
 
@@ -201,3 +226,26 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             params_from_text("not a params file")
+
+    @pytest.mark.parametrize("case", ["only-alpha", "markov-with-P", "hmm-without-P",
+                                      "entry-missing", "entry-twice",
+                                      "zero-based-row", "index-missing"])
+    def test_text_must_hold_its_kinds_arrays(self, rng, case):
+        lines = params_to_text(random_hmm_params(2, 3, 3, 2, rng)).splitlines()
+        header = lines[0]
+        if case == "only-alpha":
+            lines = [line for line in lines if line.startswith(("#", "alpha["))]
+        elif case == "markov-with-P":
+            lines[0] = header.replace("kind=hmm", "kind=markov")
+        elif case == "hmm-without-P":
+            lines = [line for line in lines if not line.startswith("P[")]
+        elif case == "entry-missing":
+            lines.remove(next(line for line in lines if line.startswith("mu[2,3] ")))
+        elif case == "entry-twice":
+            lines.append(next(line for line in lines if line.startswith("pi[1] ")))
+        elif case == "zero-based-row":
+            lines.append("pi[0] 0.5")
+        else:
+            lines.append("alpha[1] 0.5")
+        with pytest.raises(InputError):
+            params_from_text("\n".join(lines) + "\n")
