@@ -49,7 +49,6 @@ from .diagnostics import (
     potential_scale_reduction,
 )
 from .analytics import (
-    PredictiveComparisonRequest,
     average_stationary_difference,
     average_transition_difference,
     posterior_mean_transitions,

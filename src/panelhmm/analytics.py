@@ -8,36 +8,15 @@ day) value, and the difference is averaged over all observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
-from .model import simulate_hmm, simulate_markov, softmax_rows
-
-
-@dataclass(frozen=True)
-class PredictiveComparisonRequest:
-    """One average-predictive-comparison query.
-
-    ``target`` is ("transition", j, m) for the row-j-to-m transition
-    probability or ("stationary", s) for the long-run probability of
-    state s (all 1-based values).  ``u_hi`` and ``u_lo`` are on the
-    standardized scale.
-    """
-
-    input_name: str
-    u_hi: float
-    u_lo: float
-    target: tuple
-
-    def __post_init__(self):
-        if self.u_hi == self.u_lo:
-            raise InputError("u_hi and u_lo must differ")
-        if self.target[0] not in ("transition", "stationary"):
-            raise InputError(f"unknown comparison target {self.target!r}")
+from .model import (simulate_hmm, simulate_markov, softmax_rows,
+                    transition_matrices)
 
 
 @dataclass(frozen=True)
@@ -74,106 +53,95 @@ def default_comparison_levels(design: DesignMatrix, name: str) -> tuple:
     return 0.5, -0.5
 
 
-def _row_probs(alpha_block, beta_block, X):
-    """Softmax rows for one from-state: alpha (N, K), beta (K, p),
-    X (N, T, p) -> (N, T, R)."""
-    eta = alpha_block[:, None, :] + X @ beta_block.T
-    return softmax_rows(eta)
+def _comparison_designs(design: DesignMatrix, input_name: str, u_hi: float,
+                        u_lo: float) -> tuple:
+    """Two copies of the design with one input set to u_hi and to u_lo."""
+    if u_hi == u_lo:
+        raise InputError("u_hi and u_lo must differ")
+    col = design.column_index(input_name)
+    out = []
+    for u in (u_hi, u_lo):
+        values = design.values.copy()
+        values[:, :, col] = u
+        out.append(replace(design, values=values))
+    return tuple(out)
+
+
+def _draws(chain_set):
+    """Every posterior draw's parameters, in pooled (chain-major) order."""
+    for g in range(chain_set.n_chains * chain_set.n_kept):
+        yield chain_set.params_at(g)
 
 
 def average_transition_difference(chain_set, design: DesignMatrix,
-                                  request: PredictiveComparisonRequest) -> np.ndarray:
-    """Posterior draws of the average transition-probability difference.
+                                  input_name: str, u_hi: float,
+                                  u_lo: float) -> np.ndarray:
+    """Posterior draws of every average transition-probability difference.
 
-    For each draw, the row-j transition probability into m is evaluated
-    for every (subject, day) pair at u_hi and at u_lo, holding the other
-    inputs at their observed values, and the differences are averaged.
+    Returns shape (G, R, R): entry ``[g, j-1, m-1]`` is, for draw g, the
+    row-j-to-m transition probability at u_hi minus that at u_lo, holding
+    the other inputs at their observed values, averaged over every
+    (subject, day) pair.
     """
-    kind, j, m = request.target
-    if kind != "transition":
-        raise InputError("request target must be transition(j, m)")
-    col = design.column_index(request.input_name)
-    X = design.values[:, :-1, :]
-    X_hi = X.copy()
-    X_hi[:, :, col] = request.u_hi
-    X_lo = X.copy()
-    X_lo[:, :, col] = request.u_lo
-    G = chain_set.n_chains * chain_set.n_kept
-    alpha = chain_set.per_chain("alpha")
-    beta = chain_set.per_chain("beta")
-    out = np.empty(G)
-    g = 0
-    for c in range(chain_set.n_chains):
-        for i in range(chain_set.n_kept):
-            a = alpha[c, i][:, j - 1]
-            b = beta[c, i][j - 1]
-            hi = _row_probs(a, b, X_hi)[:, :, m - 1]
-            lo = _row_probs(a, b, X_lo)[:, :, m - 1]
-            out[g] = float((hi - lo).mean())
-            g += 1
-    return out
+    hi, lo = _comparison_designs(design, input_name, u_hi, u_lo)
+    out = []
+    for params in _draws(chain_set):
+        diff = transition_matrices(params, hi) - transition_matrices(params, lo)
+        out.append(diff.mean(axis=(0, 1)))
+    return np.stack(out)
 
 
 def stationary_distribution(Q: np.ndarray) -> np.ndarray:
-    """Stationary vector of a row-stochastic matrix via a linear solve.
+    """Stationary vectors of row-stochastic matrices via a linear solve.
 
-    Requires an irreducible, aperiodic chain; reducibility/periodicity is
-    detected through the eigenvalue gap (a second eigenvalue of modulus 1)
-    and through the residual of the solution.
+    ``Q`` is one (S, S) matrix or a stack (..., S, S); the result has
+    shape (..., S).  Every chain must be irreducible and aperiodic;
+    reducibility/periodicity is detected through the eigenvalue gap (a
+    second eigenvalue of modulus 1) and through the residual of the
+    solution.
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+    if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2]:
         raise InputError("Q must be square")
-    if np.any(Q < 0) or np.any(np.abs(Q.sum(axis=1) - 1.0) > 1e-9):
+    if np.any(Q < 0) or np.any(np.abs(Q.sum(axis=-1) - 1.0) > 1e-9):
         raise InputError("Q must be row-stochastic")
-    S = Q.shape[0]
-    moduli = np.sort(np.abs(np.linalg.eigvals(Q)))
-    if S > 1 and moduli[-2] >= 1.0 - 1e-12:
+    S = Q.shape[-1]
+    moduli = np.sort(np.abs(np.linalg.eigvals(Q)), axis=-1)
+    if S > 1 and np.any(moduli[..., -2] >= 1.0 - 1e-12):
         raise NumericalError("chain is reducible or periodic: no unique "
                              "stationary distribution")
-    A = (Q - np.eye(S)).T
-    A[-1, :] = 1.0
-    rhs = np.zeros(S)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(A, rhs)
-    residual = np.max(np.abs(pi @ Q - pi))
+    A = np.swapaxes(Q - np.eye(S), -1, -2).copy()
+    A[..., -1, :] = 1.0
+    rhs = np.zeros(Q.shape[:-1] + (1,))
+    rhs[..., -1, 0] = 1.0
+    pi = np.linalg.solve(A, rhs)[..., 0]
+    residual = np.max(np.abs(np.einsum("...r,...rs->...s", pi, Q) - pi))
     if residual > 1e-12 or np.any(pi < -1e-12):
         raise NumericalError(f"stationary solve failed (residual {residual:.2e})")
     pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    return pi / pi.sum(axis=-1, keepdims=True)
 
 
 def average_stationary_difference(chain_set, design: DesignMatrix,
-                                  request: PredictiveComparisonRequest) -> np.ndarray:
-    """Posterior draws of average stationary-probability differences.
+                                  input_name: str, u_hi: float,
+                                  u_lo: float) -> np.ndarray:
+    """Posterior draws of every average stationary-probability difference.
 
-    Per draw and subject, the stationary distribution of that subject's
-    last-day transition matrix is computed at u_hi and u_lo (time held at
-    its last-day value) and the state-s difference is averaged over
-    subjects.
+    Returns shape (G, S): entry ``[g, s-1]`` is, for draw g, the long-run
+    probability of state s under each subject's last-day transition
+    matrix at u_hi minus that at u_lo (time held at its last-day value),
+    averaged over subjects.
     """
-    kind, s = request.target
-    if kind != "stationary":
-        raise InputError("request target must be stationary(state)")
-    col = design.column_index(request.input_name)
-    x_last = design.values[:, -1, :]  # (N, p)
-    x_hi = x_last.copy()
-    x_hi[:, col] = request.u_hi
-    x_lo = x_last.copy()
-    x_lo[:, col] = request.u_lo
-    N = design.n_subjects
-    G = chain_set.n_chains * chain_set.n_kept
-    out = np.empty(G)
-    for g in range(G):
-        params = chain_set.params_at(g)
-        diff = 0.0
-        for i in range(N):
-            Q_hi = softmax_rows(params.alpha[i] + params.beta @ x_hi[i])
-            Q_lo = softmax_rows(params.alpha[i] + params.beta @ x_lo[i])
-            diff += (stationary_distribution(Q_hi)[s - 1]
-                     - stationary_distribution(Q_lo)[s - 1])
-        out[g] = diff / N
-    return out
+    x_hi, x_lo = (d.values[:, -1, :]
+                  for d in _comparison_designs(design, input_name, u_hi, u_lo))
+    out = []
+    for params in _draws(chain_set):
+        pi_hi, pi_lo = (
+            stationary_distribution(softmax_rows(
+                params.alpha + np.einsum("rkp,np->nrk", params.beta, x)))
+            for x in (x_hi, x_lo))
+        out.append((pi_hi - pi_lo).mean(axis=0))
+    return np.stack(out)
 
 
 def posterior_mean_transitions(chain_set, design: DesignMatrix, subject: int,

@@ -233,7 +233,7 @@ def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
 @click.option("--x", "x_path", required=True, type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(["new-subjects", "same-subjects"]),
               default="new-subjects", show_default=True)
-@click.option("--draws", type=int, default=None,
+@click.option("--draws", type=click.IntRange(min=1), default=None,
               help="Subsample this many posterior draws (evenly spaced).")
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -283,35 +283,25 @@ def apc(fit_dir, x_path, days, kind, out_dir):
     raw = load_covariates(x_path)
     chain_set, days = _load_fit(fit_dir, raw.n_subjects, days)
     design = build_design(raw, days)
-    R = chain_set.stacked("pi").shape[1]
-    covariates = list(design.names)
-    if kind == "stationary":
-        covariates = [c for c in covariates if c != "time"]
+    if kind == "transition":
+        compare, pattern = analytics.average_transition_difference, "B[{}->{}]({})"
+        covariates = design.names
+    else:
+        compare, pattern = analytics.average_stationary_difference, "Bstat[{}]({})"
+        covariates = [c for c in design.names if c != "time"]
     draws_rows = []
     summary_rows = []
     for name in covariates:
         u_hi, u_lo = analytics.default_comparison_levels(design, name)
-        if kind == "transition":
-            targets = [("transition", j, m)
-                       for j in range(1, R + 1) for m in range(1, R + 1)]
-        else:
-            targets = [("stationary", s) for s in range(1, R + 1)]
-        for target in targets:
-            request = analytics.PredictiveComparisonRequest(
-                input_name=name, u_hi=u_hi, u_lo=u_lo, target=target)
-            if kind == "transition":
-                values = analytics.average_transition_difference(
-                    chain_set, design, request)
-                label = f"B[{target[1]}->{target[2]}]({name})"
-            else:
-                values = analytics.average_stationary_difference(
-                    chain_set, design, request)
-                label = f"Bstat[{target[1]}]({name})"
-            draws_rows.extend([label, g, _num(v)] for g, v in enumerate(values))
+        values = compare(chain_set, design, name, u_hi, u_lo)
+        for target in np.ndindex(values.shape[1:]):
+            column = values[(..., *target)]
+            label = pattern.format(*(t + 1 for t in target), name)
+            draws_rows.extend([label, g, _num(v)] for g, v in enumerate(column))
             summary_rows.append([
-                label, _num(values.mean()),
-                _num(np.quantile(values, 0.025)),
-                _num(np.quantile(values, 0.975)),
+                label, _num(column.mean()),
+                _num(np.quantile(column, 0.025)),
+                _num(np.quantile(column, 0.975)),
             ])
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "apc_draws.csv"),

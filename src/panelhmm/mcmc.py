@@ -622,7 +622,10 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     prior = prior or PriorSpec()
     config = config or SamplerConfig()
     if model_kind == "hmm":
-        anchor = em_initialize(panel, S=n_states or panel.m_levels)
+        S = n_states if n_states is not None else panel.m_levels
+        if S < 1:
+            raise InputError(f"{S} hidden states: an HMM needs at least 1")
+        anchor = em_initialize(panel, S=S)
     elif model_kind == "markov":
         anchor = empirical_markov_fit(panel)
     else:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from panelhmm.analytics import (
-    PredictiveComparisonRequest,
     RelapseEpisode,
     average_stationary_difference,
     average_transition_difference,
@@ -31,11 +30,11 @@ from conftest import (
 )
 
 
-def one_draw_chain_set(params):
-    """A chain set holding a single posterior draw."""
-    draws = {name: a[None].copy() for name, a in vars(params).items()
-             if a is not None}
-    chain = Chain(chain_index=0, draws=draws, deviance=np.zeros(1),
+def chain_set_of(*params):
+    """A one-chain set holding the given posterior draws in order."""
+    draws = {name: np.stack([getattr(q, name) for q in params])
+             for name, a in vars(params[0]).items() if a is not None}
+    chain = Chain(chain_index=0, draws=draws, deviance=np.zeros(len(params)),
                   acceptance={})
     return ChainSet(chains=[chain])
 
@@ -52,45 +51,41 @@ class TestComparisonLevels:
         assert default_comparison_levels(design, "prior_drinking") == (0.5, -0.5)
         assert default_comparison_levels(design, "time") == (0.5, -0.5)
 
-    def test_request_validation(self):
-        with pytest.raises(InputError):
-            PredictiveComparisonRequest("x", 0.5, 0.5, ("transition", 1, 2))
-        with pytest.raises(InputError):
-            PredictiveComparisonRequest("x", 0.5, -0.5, ("odds", 1))
+    def test_request_validation(self, rng):
+        cs = chain_set_of(random_hmm_params(3, 3, 3, 2, rng))
+        design = random_design(3, 4, rng)
+        for compare in (average_transition_difference,
+                        average_stationary_difference):
+            with pytest.raises(InputError):
+                compare(cs, design, "x0", 0.5, 0.5)
+            with pytest.raises(InputError):
+                compare(cs, design, "dose", 0.5, -0.5)
 
 
 class TestTransitionComparisons:
     def test_zero_effect_gives_exact_zero(self, rng):
         params = random_hmm_params(5, 3, 3, 2, rng)
         params.beta[:, :, 0] = 0.0
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         design = random_design(5, 6, rng)
-        for j in range(1, 4):
-            for m in range(1, 4):
-                req = PredictiveComparisonRequest("x0", 0.5, -0.5,
-                                                  ("transition", j, m))
-                draws = average_transition_difference(cs, design, req)
-                assert np.all(draws == 0.0)
+        draws = average_transition_difference(cs, design, "x0", 0.5, -0.5)
+        assert draws.shape == (1, 3, 3)
+        assert np.all(draws == 0.0)
 
     def test_row_sums_to_zero_over_destinations(self, rng):
         params = random_hmm_params(5, 3, 3, 2, rng)
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         design = random_design(5, 6, rng)
-        for j in range(1, 4):
-            total = 0.0
-            for m in range(1, 4):
-                req = PredictiveComparisonRequest("x1", 0.7, -0.3,
-                                                  ("transition", j, m))
-                total += average_transition_difference(cs, design, req)[0]
-            assert total == pytest.approx(0.0, abs=1e-12)
+        draws = average_transition_difference(cs, design, "x1", 0.7, -0.3)
+        for j in range(3):
+            assert draws[0, j].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_computation(self, rng):
         # [DERIVED] explicit per-(subject, day) loop over softmax rows
         params = random_hmm_params(3, 3, 3, 2, rng)
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         design = random_design(3, 5, rng)
-        req = PredictiveComparisonRequest("x0", 0.8, -0.2, ("transition", 2, 3))
-        got = average_transition_difference(cs, design, req)[0]
+        got = average_transition_difference(cs, design, "x0", 0.8, -0.2)[0]
         col = 0
         diffs = []
         for i in range(3):
@@ -99,19 +94,20 @@ class TestTransitionComparisons:
                 x_hi[col] = 0.8
                 x_lo = design.values[i, t].copy()
                 x_lo[col] = -0.2
-                row_hi = softmax_rows(params.alpha[i, 1] + params.beta[1] @ x_hi)
-                row_lo = softmax_rows(params.alpha[i, 1] + params.beta[1] @ x_lo)
-                diffs.append(row_hi[2] - row_lo[2])
-        assert got == pytest.approx(np.mean(diffs), abs=1e-12)
+                diffs.append([
+                    softmax_rows(params.alpha[i, j] + params.beta[j] @ x_hi)
+                    - softmax_rows(params.alpha[i, j] + params.beta[j] @ x_lo)
+                    for j in range(3)])
+        np.testing.assert_allclose(got, np.mean(diffs, axis=0), rtol=0,
+                                   atol=1e-12)
 
     def test_sign_follows_coefficient(self, rng):
         params = random_hmm_params(4, 3, 3, 2, rng)
         params.beta[...] = 0.0
         params.beta[0, 0, 0] = 2.0  # x0 pushes row 1 toward state 2
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         design = random_design(4, 6, rng)
-        req = PredictiveComparisonRequest("x0", 0.5, -0.5, ("transition", 1, 2))
-        assert average_transition_difference(cs, design, req)[0] > 0
+        assert average_transition_difference(cs, design, "x0", 0.5, -0.5)[0, 0, 1] > 0
 
 
 class TestStationaryDistribution:
@@ -166,28 +162,60 @@ class TestStationaryDistribution:
         with pytest.raises(InputError):
             stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("S", [2, 3, 5])
+    def test_stack_matches_per_matrix_calls(self, rng, S):
+        Q = rng.dirichlet(np.ones(S), size=(4, 6, S))
+        pi = stationary_distribution(Q)
+        assert pi.shape == (4, 6, S)
+        for idx in np.ndindex(4, 6):
+            np.testing.assert_array_equal(pi[idx], stationary_distribution(Q[idx]))
+
+    def test_stack_with_reducible_and_periodic_rejected(self, rng):
+        Q = rng.dirichlet(np.ones(2), size=(5, 2))
+        Q[1] = np.eye(2)
+        Q[3] = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(NumericalError):
+            stationary_distribution(Q)
+
 
 class TestStationaryComparisons:
     def test_zero_effect_gives_exact_zero(self, rng):
         params = random_hmm_params(4, 3, 3, 2, rng)
         params.beta[:, :, 1] = 0.0
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         design = random_design(4, 5, rng)
-        req = PredictiveComparisonRequest("x1", 0.5, -0.5, ("stationary", 2))
-        assert average_stationary_difference(cs, design, req)[0] == 0.0
+        draws = average_stationary_difference(cs, design, "x1", 0.5, -0.5)
+        assert draws.shape == (1, 3)
+        assert np.all(draws == 0.0)
 
     def test_differences_sum_to_zero_over_states(self, rng):
         params = random_hmm_params(4, 3, 3, 2, rng)
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         design = random_design(4, 5, rng)
-        total = sum(
-            average_stationary_difference(
-                cs, design,
-                PredictiveComparisonRequest("x0", 0.5, -0.5, ("stationary", s))
-            )[0]
-            for s in (1, 2, 3)
-        )
+        total = average_stationary_difference(cs, design, "x0", 0.5, -0.5)[0].sum()
         assert total == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_direct_computation(self, rng):
+        # [DERIVED] explicit per-(draw, subject) loop over 2-D solves of
+        # each subject's last-day matrix
+        draws = [random_hmm_params(4, 3, 3, 2, rng) for _ in range(2)]
+        design = random_design(4, 5, rng)
+        got = average_stationary_difference(chain_set_of(*draws), design,
+                                            "x1", 0.6, -0.4)
+        assert got.shape == (2, 3)
+        for g, params in enumerate(draws):
+            diffs = []
+            for i in range(4):
+                x_hi = design.values[i, -1].copy()
+                x_hi[1] = 0.6
+                x_lo = design.values[i, -1].copy()
+                x_lo[1] = -0.4
+                Q_hi = softmax_rows(params.alpha[i] + params.beta @ x_hi)
+                Q_lo = softmax_rows(params.alpha[i] + params.beta @ x_lo)
+                diffs.append(stationary_distribution(Q_hi)
+                             - stationary_distribution(Q_lo))
+            np.testing.assert_allclose(got[g], np.mean(diffs, axis=0), rtol=0,
+                                       atol=1e-12)
 
 
 class TestPosteriorMeanTransitions:
@@ -257,7 +285,7 @@ class TestPpcReplicates:
     def test_mask_applied_and_counts(self, rng):
         panel, design, params = random_instance(rng, n_subjects=4, n_days=10,
                                                 missing_rate=0.2)
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         reps = list(ppc_replicates(cs, design, mode="new_subjects",
                                    mask=panel.mask, rng=rng))
         assert len(reps) == 1
@@ -265,7 +293,7 @@ class TestPpcReplicates:
 
     def test_same_subjects_preserves_intercepts(self, rng):
         panel, design, params = random_instance(rng, n_subjects=4, n_days=10)
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         stored = cs.chains[0].draws["alpha"].copy()
         list(ppc_replicates(cs, design, mode="same_subjects", rng=rng))
         list(ppc_replicates(cs, design, mode="new_subjects", rng=rng))
@@ -282,14 +310,14 @@ class TestPpcReplicates:
 
     def test_unknown_mode(self, rng):
         panel, design, params = random_instance(rng)
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         with pytest.raises(InputError):
             list(ppc_replicates(cs, design, mode="bootstrap"))
 
     def test_check_results_consistent(self, rng):
         panel, design, params = random_instance(rng, n_subjects=5, n_days=12,
                                                 missing_rate=0.1)
-        cs = one_draw_chain_set(params)
+        cs = chain_set_of(params)
         results = ppc_check(cs, design, panel, rng=np.random.default_rng(3))
         observed = ppc_statistics(panel)
         assert {r.name for r in results} == set(observed)
@@ -307,8 +335,8 @@ class TestSerialDependence:
         panel, design, hmm_params = (lambda p, d, q: (p, d, q))(
             *random_instance(rng, n_subjects=6, n_days=25, missing_rate=0.15))
         markov_params = random_markov_params(6, 3, 2, rng)
-        cs_h = one_draw_chain_set(hmm_params)
-        cs_m = one_draw_chain_set(markov_params)
+        cs_h = chain_set_of(hmm_params)
+        cs_m = chain_set_of(markov_params)
         table = serial_dependence_table(panel, design, cs_h, cs_m)
         prob_h = pointwise_predictive(panel, design, hmm_params)
         prob_m = pointwise_predictive(panel, design, markov_params)

@@ -127,6 +127,17 @@ class TestFit:
         assert fit_markov(["--config", str(cfg)], "cfg") == 2
         assert fit_markov(["--states", "3"], "three") == 0
 
+    @pytest.mark.parametrize("states", ["0", "-1"])
+    def test_states_below_one_exit_2(self, workspace, tmp_path, states):
+        code = main([
+            "fit", "--y", str(workspace / "y.csv"),
+            "--x", str(workspace / "x.csv"), "--states", states,
+            "--chains", "1", "--burnin", "2", "--keep", "2",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_in_chain_exits_3(self, workspace, tmp_path,
                                                  monkeypatch):
         build = cli.build_design
@@ -259,6 +270,16 @@ class TestPpc:
         name = summary[2].split(",")[0]
         rows = [l for l in reps if l.startswith(name + ",")]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_draws_below_one_exit_2(self, workspace, fitted, tmp_path, draws):
+        code = main([
+            "ppc", "--fit", str(fitted),
+            "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--draws", draws, "--out", str(tmp_path / "ppc"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "ppc").exists()
 
 
 class TestApc:
