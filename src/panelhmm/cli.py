@@ -204,9 +204,9 @@ def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
         os.path.join(out_dir, "convergence.csv"),
         ["parameter", "mean", "sd", "q025", "q975", "rhat", "ess"],
         [[r["parameter"], _num(r["mean"]), _num(r["sd"]), _num(r["q025"]),
-          _num(r["q975"]),
-          "unavailable" if np.isnan(r["rhat"]) else _num(r["rhat"]),
-          _num(r["ess"])] for r in rows],
+          _num(r["q975"])]
+         + ["unavailable" if np.isnan(r[k]) else _num(r[k]) for k in ("rhat", "ess")]
+         for r in rows],
     )
     _write_csv(
         os.path.join(out_dir, "acceptance.csv"),

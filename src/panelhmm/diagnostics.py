@@ -114,7 +114,9 @@ def scalar_summaries(chain_set, names=None) -> list:
     Paths are those of :func:`model.param_paths`: subjects and covariates
     0-based, rows and targets 1-based, as in the params text format;
     ``deviance`` is bare.  R-hat is NaN for single-chain runs; ESS is
-    summed across chains.  Used by the diagnose command.
+    summed across chains.  Both are NaN when the chains hold fewer than 10
+    draws, and ESS is NaN for a constant trace.  Used by the diagnose
+    command.
     """
     rows = []
     names = names or sorted(chain_set.chains[0].draws) + ["deviance"]
@@ -126,14 +128,14 @@ def scalar_summaries(chain_set, names=None) -> list:
         for j, path in enumerate(paths):
             traces = flat[:, :, j]
             pooled = traces.ravel()
-            if m >= 2 and n >= 10:
-                rhat = potential_scale_reduction(traces)
-            else:
-                rhat = float("nan")
-            try:
-                ess = sum(effective_sample_size(traces[c]) for c in range(m))
-            except NumericalError:
-                ess = float("nan")
+            rhat = ess = float("nan")
+            if n >= 10:
+                if m >= 2:
+                    rhat = potential_scale_reduction(traces)
+                try:
+                    ess = sum(effective_sample_size(traces[c]) for c in range(m))
+                except NumericalError:
+                    pass
             rows.append({
                 "parameter": path,
                 "mean": float(pooled.mean()),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DesignMatrix, ObservationPanel
-from .model import Params, transition_matrices
+from .model import Params, softmax_rows, transition_logits, transition_matrices
 
 
 @dataclass(frozen=True)
@@ -185,23 +185,26 @@ def log_likelihood_markov(panel: ObservationPanel, design: DesignMatrix,
 
 def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
                               params, rng: np.random.Generator) -> tuple:
-    """One data-augmentation draw and log p(Y_obs | params), both from a
-    single forward filter.
+    """One data-augmentation draw, log p(Y_obs | params) and the
+    transition logits, the first two from a single forward filter.
 
     HMM parameters give the hidden grid of :func:`ffbs_sample_hidden`;
     Markov parameters give the complete panel with every missing run
     imputed and observed cells unchanged.  The log-likelihood is the same
     filter's scaling factors summed the same way as in
     :func:`log_likelihood_hmm` / :func:`log_likelihood_markov`, so it equals
-    them bit for bit.
+    them bit for bit.  The (N, T-1, R, K) logits of
+    :func:`model.transition_logits` are returned for the parameter updates
+    that follow the draw.
     """
-    Q = transition_matrices(params, design)
+    eta = transition_logits(params, design)
+    Q = softmax_rows(eta)
     filtered, scaling = _filter_all(_factors(panel, params), Q, params.pi)
     draw = _backward_sample_all(filtered, Q, rng)
     if params.P is None:
         obs = ~panel.mask
         draw[obs] = panel.codes[obs]
-    return draw, float(_log_scaling(scaling).sum())
+    return draw, float(_log_scaling(scaling).sum()), eta
 
 
 def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,

@@ -10,6 +10,9 @@ All four Metropolis moves (intercepts, fixed effects, and the joint
 scale and location moves) take one path: ``_RowData.propose`` shifts a
 target's logits and prices the shift, ``_accept`` runs the Metropolis
 test, and ``_RowData.adopt`` keeps the shift where it was accepted.
+Each sweep builds one such row cache per transition row, once, by
+gathering from the logits its data step computed; the four moves share
+those caches, and ``adopt`` keeps them in step with the parameters.
 
 Sigma prior note: the default prior is flat on sigma (not sigma^2).  With
 n intercepts and sum of squares SS around mu, the induced full
@@ -145,7 +148,9 @@ class ChainSet:
     def stacked(self, name: str) -> np.ndarray:
         """Draws pooled across chains, shape (n_chains * n_kept, ...)."""
         a = self.per_chain(name)
-        return a.reshape((-1,) + a.shape[2:])
+        # an explicit length: numpy cannot infer -1 when a trailing axis
+        # is 0, as alpha's is for a one-state HMM
+        return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:])
 
     def params_at(self, g: int):
         """Parameter object for pooled draw index g (chain-major order)."""
@@ -305,24 +310,38 @@ def init_chain(em_fit: EmFit, n_subjects: int, n_covariates: int,
 
 # -- complete-data multinomial-logit machinery ------------------------------
 
+def _log_denominator(columns, n: int) -> np.ndarray:
+    """log(1 + sum_j exp(c_j)) per point over the 1-D target columns c_j
+    (n points each): the log-denominator of a multinomial logit with a
+    baseline logit of 0.  Shifted by m = max(0, max_j c_j), so no
+    exponential overflows."""
+    m = np.zeros(n)
+    for c in columns:
+        np.maximum(m, c, out=m)
+    total = np.exp(-m)
+    for c in columns:
+        total += np.exp(c - m)
+    return m + np.log(total)
+
+
 class _RowData:
     """Sufficient structure for one transition row given complete sequences:
     the points (subject, day) whose row value matches, their design
     vectors, targets, and current logits and log-denominators.
 
-    Every Metropolis move shifts the logits of one target: :meth:`propose`
-    prices the shift and :meth:`adopt` keeps it where it was accepted."""
+    A sweep gathers one cache per row from the data step's logits and
+    passes it to all four Metropolis moves: :meth:`propose` prices a shift
+    of one target's logits and :meth:`adopt` keeps it where it was
+    accepted, so the cache stays in step with the parameters."""
 
-    def __init__(self, params, seq: np.ndarray, design: DesignMatrix, row: int):
+    def __init__(self, seq: np.ndarray, design: DesignMatrix, eta: np.ndarray,
+                 row: int):
         i_arr, t_arr = np.nonzero(seq[:, :-1] == row)
         self.i_arr = i_arr
         self.X = design.values[i_arr, t_arr]          # (n_pts, p)
         self.target = seq[i_arr, t_arr + 1]           # 1-based
-        r = row - 1
-        self.eta = params.alpha[i_arr, r] + self.X @ params.beta[r].T  # (n_pts, K)
-        self.log_denom = np.zeros(i_arr.size)
-        for k in range(self.eta.shape[1]):
-            self.log_denom = np.logaddexp(self.log_denom, self.eta[:, k])
+        self.eta = eta[i_arr, t_arr, row - 1]         # (n_pts, K)
+        self.log_denom = _log_denominator(self.eta.T, i_arr.size)
 
     def propose(self, k: int, d) -> tuple:
         """Shift target k's logit by ``d``, a scalar or one value per point.
@@ -331,11 +350,8 @@ class _RowData:
         per-point change of the complete-data log-likelihood.
         """
         eta_k = self.eta[:, k] + d
-        log_denom = eta_k
-        for j in range(self.eta.shape[1]):
-            if j != k:
-                log_denom = np.logaddexp(log_denom, self.eta[:, j])
-        log_denom = np.logaddexp(log_denom, 0.0)
+        others = [self.eta[:, j] for j in range(self.eta.shape[1]) if j != k]
+        log_denom = _log_denominator([eta_k] + others, eta_k.size)
         dll = np.where(self.target == k + 2, d, 0.0) - log_denom + self.log_denom
         return eta_k, log_denom, dll
 
@@ -346,14 +362,16 @@ class _RowData:
         self.log_denom[at] = log_denom[at]
 
 
-def _blocks(params, seq: np.ndarray, design: DesignMatrix):
-    """Yield ``(row cache, r, k)`` for every (row, target) block, row by
-    row; each row's cache is built from the parameters as they stand when
-    its first block comes up."""
-    R, K = params.mu.shape
-    for r in range(R):
-        data = _RowData(params, seq, design, r + 1)
-        for k in range(K):
+def _row_caches(seq: np.ndarray, design: DesignMatrix, eta: np.ndarray) -> list:
+    """One :class:`_RowData` per row, gathered from the (N, T-1, R, K)
+    transition logits ``eta`` of the parameters ``seq`` was drawn under."""
+    return [_RowData(seq, design, eta, r + 1) for r in range(eta.shape[2])]
+
+
+def _blocks(rows: list):
+    """Yield ``(row cache, r, k)`` for every (row, target) block, row by row."""
+    for r, data in enumerate(rows):
+        for k in range(data.eta.shape[1]):
             yield data, r, k
 
 
@@ -365,21 +383,22 @@ def _accept(name: str, log_ratio, rng: np.random.Generator):
     return np.log(rng.random(np.shape(log_ratio) or None)) < log_ratio
 
 
-def update_alpha(params, seq: np.ndarray, design: DesignMatrix, prior: PriorSpec,
+def update_alpha(params, rows: list, prior: PriorSpec,
                  rng: np.random.Generator, steps) -> np.ndarray:
     """Random-walk Metropolis update of every random intercept.
 
-    ``seq`` is the complete (N, T) grid of row values (hidden states for
-    the HMM, complete observations for the Markov model).  Proposals for a
-    given (row, target) block are made jointly across subjects, which is
-    valid because the intercepts are conditionally independent given the
-    fixed effects.  ``steps`` holds the (R, K) proposal sds.  Returns the
-    (R, K) acceptance fractions.
+    ``rows`` holds the row caches of :func:`_row_caches` for the complete
+    (N, T) grid of row values (hidden states for the HMM, complete
+    observations for the Markov model), in step with ``params``.
+    Proposals for a given (row, target) block are made jointly across
+    subjects, which is valid because the intercepts are conditionally
+    independent given the fixed effects.  ``steps`` holds the (R, K)
+    proposal sds.  Returns the (R, K) acceptance fractions.
     """
     N, R, K = params.alpha.shape
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (R, K))
     acc = np.zeros((R, K))
-    for data, r, k in _blocks(params, seq, design):
+    for data, r, k in _blocks(rows):
         d = steps[r, k] * rng.standard_normal(N)
         eta_k, log_denom, dll = data.propose(k, d[data.i_arr])
         a_old = params.alpha[:, r, k]
@@ -394,15 +413,15 @@ def update_alpha(params, seq: np.ndarray, design: DesignMatrix, prior: PriorSpec
     return acc
 
 
-def update_beta(params, seq: np.ndarray, design: DesignMatrix, prior: PriorSpec,
+def update_beta(params, rows: list, prior: PriorSpec,
                 rng: np.random.Generator, steps) -> np.ndarray:
     """Univariate random-walk Metropolis update of every fixed effect, with
-    the (R, K, p) proposal sds ``steps``.  Returns the (R, K, p) acceptance
-    indicators (0 or 1 per scalar)."""
+    the row caches ``rows`` and the (R, K, p) proposal sds ``steps``.
+    Returns the (R, K, p) acceptance indicators (0 or 1 per scalar)."""
     R, K, p = params.beta.shape
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (R, K, p))
     acc = np.zeros((R, K, p))
-    for data, r, k in _blocks(params, seq, design):
+    for data, r, k in _blocks(rows):
         for j in range(p):
             db = steps[r, k, j] * rng.standard_normal()
             eta_k, log_denom, dll = data.propose(k, data.X[:, j] * db)
@@ -449,9 +468,8 @@ def _log_prior_sigma(prior: PriorSpec, sigma: float) -> float:
                  - prior.sigma_nu0 * prior.sigma_s0sq / (2.0 * sigma ** 2))
 
 
-def update_scale_joint(params, seq: np.ndarray, design: DesignMatrix,
-                       prior: PriorSpec, rng: np.random.Generator,
-                       step: float = 0.3) -> np.ndarray:
+def update_scale_joint(params, rows: list, prior: PriorSpec,
+                       rng: np.random.Generator, step: float = 0.3) -> np.ndarray:
     """Joint rescaling of each (row, target) intercept block with its sd.
 
     Proposes sigma' = sigma * e^eps and moves every deviation alpha_i - mu
@@ -462,7 +480,7 @@ def update_scale_joint(params, seq: np.ndarray, design: DesignMatrix,
     Returns the (R, K) acceptance indicators.
     """
     acc = np.zeros(params.mu.shape)
-    for data, r, k in _blocks(params, seq, design):
+    for data, r, k in _blocks(rows):
         sigma_old = params.sigma[r, k]
         factor = float(np.exp(step * rng.standard_normal()))
         sigma_new = sigma_old * factor
@@ -480,15 +498,14 @@ def update_scale_joint(params, seq: np.ndarray, design: DesignMatrix,
     return acc
 
 
-def update_location_joint(params, seq: np.ndarray, design: DesignMatrix,
-                          prior: PriorSpec, rng: np.random.Generator,
-                          step: float = 0.15) -> np.ndarray:
+def update_location_joint(params, rows: list, prior: PriorSpec,
+                          rng: np.random.Generator, step: float = 0.15) -> np.ndarray:
     """Joint translation of each (row, target) block: mu and every
     intercept shift by the same amount, so the hierarchical prior terms
     are unchanged and only the likelihood and the mu prior enter.
     Returns the (R, K) acceptance indicators."""
     acc = np.zeros(params.mu.shape)
-    for data, r, k in _blocks(params, seq, design):
+    for data, r, k in _blocks(rows):
         d = step * rng.standard_normal()
         eta_k, log_denom, dll = data.propose(k, d)
         mu_old = params.mu[r, k]
@@ -533,6 +550,33 @@ def sample_missing_y(params: Params, panel: ObservationPanel,
 
 # -- chain orchestration ----------------------------------------------------
 
+def _sweep(params, panel: ObservationPanel, design: DesignMatrix,
+           prior: PriorSpec, rng: np.random.Generator, steps_alpha,
+           steps_beta) -> tuple:
+    """One Metropolis-within-Gibbs sweep, updating ``params`` in place.
+
+    The data step draws the complete grid and returns its transition
+    logits; the row caches are gathered from those logits once and shared
+    by the four Metropolis moves, whose adopted shifts keep them in step
+    with ``params`` (the mu and sigma draws leave the logits unchanged).
+    Returns the log-likelihood of the parameters the sweep started from
+    and the alpha and beta acceptance of :func:`update_alpha` and
+    :func:`update_beta`.
+    """
+    seq, loglik, eta = inference._draw_with_log_likelihood(panel, design, params, rng)
+    rows = _row_caches(seq, design, eta)
+    acc_a = update_alpha(params, rows, prior, rng, steps_alpha)
+    acc_b = update_beta(params, rows, prior, rng, steps_beta)
+    update_mu(params, prior, rng)
+    update_sigma(params, prior, rng)
+    update_scale_joint(params, rows, prior, rng)
+    update_location_joint(params, rows, prior, rng)
+    if params.P is not None:
+        update_emissions(params, seq, panel, prior, rng)
+    update_pi(params, seq[:, 0], prior, rng)
+    return loglik, acc_a, acc_b
+
+
 def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
               config: SamplerConfig, init_params: Params,
               chain_index: int = 0) -> Chain:
@@ -559,18 +603,10 @@ def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
     deviance = np.zeros(config.n_keep)
     adapt_round = 0
     for g in range(n_total):
-        seq, loglik = inference._draw_with_log_likelihood(panel, design, params, rng)
-        if g > config.n_burnin:  # params are still kept draw g - 1
+        loglik, acc_a, acc_b = _sweep(params, panel, design, prior, rng,
+                                      steps_alpha, steps_beta)
+        if g > config.n_burnin:  # the sweep started from kept draw g - 1
             deviance[g - 1 - config.n_burnin] = -2.0 * loglik
-        acc_a = update_alpha(params, seq, design, prior, rng, steps_alpha)
-        acc_b = update_beta(params, seq, design, prior, rng, steps_beta)
-        update_mu(params, prior, rng)
-        update_sigma(params, prior, rng)
-        update_scale_joint(params, seq, design, prior, rng)
-        update_location_joint(params, seq, design, prior, rng)
-        if params.P is not None:
-            update_emissions(params, seq, panel, prior, rng)
-        update_pi(params, seq[:, 0], prior, rng)
         if g < config.n_burnin:
             acc_alpha_batch += acc_a
             acc_beta_batch += acc_b

@@ -123,18 +123,28 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with a prepended baseline logit of 0.
 
     ``logits[..., k]`` is the logit of target category k + 2; the implied
-    logit of category 1 is exactly 0.  Computed stably by subtracting the
-    running maximum before exponentiation.
+    logit of category 1 is exactly 0.  Computed stably by shifting every
+    logit by ``m = max(0, max_k logits[..., k])``, so the baseline column
+    is ``exp(-m)``.  Written into one output array; the maximum and the
+    row sums loop over the few columns, which is faster than a numpy
+    reduction along a short last axis.
     """
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("non-finite linear predictor in transition logits")
-    full = np.concatenate(
-        [np.zeros(logits.shape[:-1] + (1,)), logits], axis=-1
-    )
-    full -= full.max(axis=-1, keepdims=True)
-    e = np.exp(full)
-    return e / e.sum(axis=-1, keepdims=True)
+    K = logits.shape[-1]
+    m = np.zeros(logits.shape[:-1])
+    for k in range(K):
+        np.maximum(m, logits[..., k], out=m)
+    out = np.empty(logits.shape[:-1] + (K + 1,))
+    np.subtract(logits, m[..., None], out=out[..., 1:])
+    np.negative(m, out=out[..., 0])
+    np.exp(out, out=out)
+    total = out[..., 0].copy()
+    for k in range(1, K + 1):
+        total += out[..., k]
+    out /= total[..., None]
+    return out
 
 
 def inverse_softmax(row: np.ndarray, clamp: float = 1e-6) -> np.ndarray:
@@ -177,15 +187,25 @@ def transition_matrix(subject: int, day: int, params, design: DesignMatrix) -> n
     return softmax_rows(eta)
 
 
+def transition_logits(params, design: DesignMatrix) -> np.ndarray:
+    """All per-day transition logits, shape (N, T-1, R, K): entry
+    ``[i, t, r-1, s-2]`` is the logit of moving from row value r into
+    target s between day t and day t + 1, at the design vector of day t."""
+    R, K, p = params.beta.shape
+    X = design.values[:, :-1, :]  # (N, T-1, p)
+    eta = (X @ params.beta.reshape(R * K, p).T).reshape(X.shape[:2] + (R, K))
+    eta += params.alpha[:, None]
+    return eta
+
+
 def transition_matrices(params, design: DesignMatrix) -> np.ndarray:
-    """All per-day transition matrices, shape (N, T-1, R, R).
+    """All per-day transition matrices, shape (N, T-1, R, R): the softmax
+    of :func:`transition_logits`.
 
     Entry ``[i, t]`` governs the transition from day t to day t + 1 and is
     evaluated at the design vector of day t.
     """
-    X = design.values[:, :-1, :]  # (N, T-1, p)
-    eta = params.alpha[:, None, :, :] + np.einsum("rkp,ntp->ntrk", params.beta, X)
-    return softmax_rows(eta)
+    return softmax_rows(transition_logits(params, design))
 
 
 def multi_step_matrix(subject: int, start_day: int, gap: int, params,

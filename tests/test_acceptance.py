@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from panelhmm import mcmc
 from panelhmm.analytics import (
     average_transition_difference,
     ppc_quantile,
@@ -40,13 +41,9 @@ from panelhmm.mcmc import (
     SamplerConfig,
     run_chains,
     sample_params_from_prior,
-    update_alpha,
-    update_beta,
     update_emissions,
-    update_location_joint,
     update_mu,
     update_pi,
-    update_scale_joint,
     update_sigma,
 )
 from panelhmm.model import (
@@ -239,17 +236,9 @@ def test_criterion_05_joint_distribution_validation():
         sim = simulate_hmm(params, design, N, T,
                            seed=int(rng.integers(2 ** 63)))
         panel = sim.observed
-        hidden = ffbs_sample_hidden(panel, design, params, rng)
-        update_alpha(params, hidden, design, prior, rng,
-                     steps=np.full((S, S - 1), 1.2))
-        update_beta(params, hidden, design, prior, rng,
-                    steps=np.full((S, S - 1, p), 0.8))
-        update_mu(params, prior, rng)
-        update_sigma(params, prior, rng)
-        update_scale_joint(params, hidden, design, prior, rng)
-        update_location_joint(params, hidden, design, prior, rng)
-        update_emissions(params, hidden, panel, prior, rng)
-        update_pi(params, hidden[:, 0], prior, rng)
+        mcmc._sweep(params, panel, design, prior, rng,
+                    steps_alpha=np.full((S, S - 1), 1.2),
+                    steps_beta=np.full((S, S - 1, p), 0.8))
         if sweep >= burn:
             records["mu"].append(params.mu[0, 0])
             records["beta"].append(params.beta[0, 0, 0])

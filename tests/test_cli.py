@@ -212,6 +212,28 @@ class TestDiagnose:
         assert dic_row["dic"] == pytest.approx(
             dic_row["mean_deviance"] + dic_row["p_d"], abs=1e-9)
 
+    def test_short_fit_writes_every_table(self, workspace, tmp_path):
+        # 2 kept draws: too few for R-hat and ESS, which read unavailable,
+        # but the other statistics and tables need no minimum
+        fit = tmp_path / "fit"
+        assert main([
+            "fit", "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--chains", "1", "--burnin", "2", "--keep", "2", "--out", str(fit),
+        ]) == 0
+        out = tmp_path / "diag"
+        assert main([
+            "diagnose", "--fit", str(fit),
+            "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--out", str(out),
+        ]) == 0
+        header, *rows = csv.reader((out / "convergence.csv").read_text().splitlines()[1:])
+        assert header[-2:] == ["rhat", "ess"]
+        assert rows and all(r[-2:] == ["unavailable", "unavailable"] for r in rows)
+        assert all(np.isfinite(float(v)) for r in rows for v in r[1:5])
+        assert len((out / "acceptance.csv").read_text().splitlines()) == 2 + 3 * 2 + 3 * 2 * 4
+        dic_row = (out / "dic.csv").read_text().splitlines()[2].split(",")
+        assert all(np.isfinite(float(v)) for v in dic_row)
+
     def test_acceptance_rates(self, workspace, fitted, tmp_path):
         out = tmp_path / "diag"
         assert main([
@@ -344,6 +366,26 @@ class TestViterbiCommand:
         assert len(na_rows) == int(panel.mask.sum())
         states = {int(l.split(",")[3]) for l in lines[2:]}
         assert states <= {1, 2, 3}
+
+    def test_one_state_fit(self, workspace, tmp_path):
+        # a one-state HMM has no non-baseline targets, so alpha's last
+        # axis is empty; pooling its draws must still work
+        fit = tmp_path / "fit"
+        assert main([
+            "fit", "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--states", "1", "--chains", "1", "--burnin", "2", "--keep", "2",
+            "--out", str(fit),
+        ]) == 0
+        out = tmp_path / "vit"
+        assert main([
+            "viterbi", "--fit", str(fit),
+            "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--out", str(out),
+        ]) == 0
+        lines = (out / "viterbi.csv").read_text().splitlines()
+        assert lines[1] == "subject,day,observed,state,p_state_1"
+        assert len(lines) == 2 + 5 * 15
+        assert {l.split(",")[3] for l in lines[2:]} == {"1"}
 
     def test_markov_fit_rejected(self, workspace, tmp_path):
         out_fit = tmp_path / "mfit"

@@ -166,3 +166,14 @@ class TestScalarSummaries:
         cs = run_chains("hmm", panel, design, config=config)
         rows = scalar_summaries(cs)
         assert all(np.isnan(r["rhat"]) for r in rows)
+
+    def test_short_chains_nan(self):
+        # fewer than 10 draws per chain: R-hat and ESS are undefined, the
+        # moments and quantiles are not
+        rng = np.random.default_rng(37)
+        panel, design, _ = random_instance(rng, n_subjects=4, n_days=15)
+        config = SamplerConfig(n_chains=2, n_burnin=2, n_keep=3, seed=5)
+        rows = scalar_summaries(run_chains("hmm", panel, design, config=config))
+        assert all(np.isnan(r["rhat"]) and np.isnan(r["ess"]) for r in rows)
+        assert all(np.isfinite([r["mean"], r["sd"], r["q025"], r["q975"]]).all()
+                   for r in rows)

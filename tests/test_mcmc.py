@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from panelhmm.inference import log_likelihood_hmm, log_likelihood_markov
 from panelhmm.model import (
     Params,
     softmax_rows,
+    transition_logits,
     transition_matrices,
 )
 
@@ -44,6 +46,12 @@ from conftest import (
 )
 
 KS_ALPHA = 1e-3
+
+
+def row_caches(params, seq, design):
+    """The Metropolis moves' row caches for ``params`` and the complete
+    grid ``seq``."""
+    return mcmc._row_caches(seq, design, transition_logits(params, design))
 
 
 class TestPriorSpec:
@@ -178,10 +186,10 @@ class TestMetropolisUpdates:
         eta = grid[:, None] * x[None, :]
         log_post = (y[None, :] * eta - np.logaddexp(0.0, eta)).sum(axis=1)
         log_post -= grid ** 2 / (2 * prior.beta_sd ** 2)
+        rows = row_caches(params, seq, design)
         draws = np.empty(30_000)
         for i in range(draws.size):
-            update_beta(params, seq, design, prior, rng,
-                        steps=np.full((2, 1, 1), 2.0))
+            update_beta(params, rows, prior, rng, steps=np.full((2, 1, 1), 2.0))
             draws[i] = params.beta[0, 0, 0]
         assert self._tv_against_grid(draws[2000:], grid, log_post) < 0.05
 
@@ -197,10 +205,10 @@ class TestMetropolisUpdates:
         log_post = (y[None, :] * grid[:, None]
                     - np.logaddexp(0.0, grid[:, None] + 0.0 * x[None, :])).sum(axis=1)
         log_post -= (grid - params.mu[0, 0]) ** 2 / (2 * params.sigma[0, 0] ** 2)
+        rows = row_caches(params, seq, design)
         draws = np.empty(30_000)
         for i in range(draws.size):
-            update_alpha(params, seq, design, prior, rng,
-                         steps=np.full((2, 1), 2.0))
+            update_alpha(params, rows, prior, rng, steps=np.full((2, 1), 2.0))
             draws[i] = params.alpha[0, 0, 0]
             params.beta[...] = 0.0  # pin the fixed effects out of the way
         assert self._tv_against_grid(draws[2000:], grid, log_post) < 0.05
@@ -215,9 +223,9 @@ class TestMetropolisUpdates:
         params.sigma[2, :] = 1.3
         params.alpha[:, 2, :] = 0.7 + 1.3 * rng.standard_normal((3000, 2))
         seq = rng.integers(1, 3, size=(3000, 4))  # states 1 and 2 only
+        rows = row_caches(params, seq, design)
         for _ in range(5):
-            update_alpha(params, seq, design, PriorSpec(), rng,
-                         steps=np.full((3, 2), 1.5))
+            update_alpha(params, rows, PriorSpec(), rng, steps=np.full((3, 2), 1.5))
         p = stats.kstest(params.alpha[:, 2, 0], "norm", args=(0.7, 1.3)).pvalue
         assert p > KS_ALPHA
 
@@ -225,10 +233,10 @@ class TestMetropolisUpdates:
         panel, design, params = random_instance(rng, n_subjects=20, n_days=30,
                                                 missing_rate=0.0)
         seq = panel.codes
-        tiny = update_alpha(params.copy(), seq, design, PriorSpec(), rng,
-                            steps=np.full((3, 2), 1e-4))
-        huge = update_alpha(params.copy(), seq, design, PriorSpec(), rng,
-                            steps=np.full((3, 2), 40.0))
+        tiny = update_alpha(params.copy(), row_caches(params, seq, design),
+                            PriorSpec(), rng, steps=np.full((3, 2), 1e-4))
+        huge = update_alpha(params.copy(), row_caches(params, seq, design),
+                            PriorSpec(), rng, steps=np.full((3, 2), 40.0))
         assert tiny.mean() > 0.95
         assert huge.mean() < 0.3
 
@@ -249,23 +257,101 @@ class TestRowCache:
         seq = panel.codes
         N, R, K = params.alpha.shape
         for r in range(R):
-            data = mcmc._RowData(params, seq, design, r + 1)
+            data = row_caches(params, seq, design)[r]
             for k in range(K):
                 d = rng.normal(0.0, 0.5, N)
                 eta_k, log_denom, dll = data.propose(k, d[data.i_arr])
                 shifted = params.copy()
                 shifted.alpha[:, r, k] += d
-                moved = mcmc._RowData(shifted, seq, design, r + 1)
+                moved = row_caches(shifted, seq, design)[r]
                 np.testing.assert_allclose(
                     dll, self._point_loglik(moved) - self._point_loglik(data),
                     rtol=0, atol=1e-12)
                 keep = rng.random(N) < 0.5
                 params.alpha[keep, r, k] += d[keep]
                 data.adopt(k, eta_k, log_denom, keep[data.i_arr])
-                fresh = mcmc._RowData(params, seq, design, r + 1)
+                fresh = row_caches(params, seq, design)[r]
                 np.testing.assert_allclose(data.eta, fresh.eta, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(data.log_denom, fresh.log_denom,
                                            rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _built_from_params(params, seq, design, r):
+        # [DERIVED] the cache of row r + 1 computed directly from the
+        # parameters: per-point logits alpha + x beta, and the
+        # log-denominator by a logaddexp reduction with the baseline 0
+        i_arr, t_arr = np.nonzero(seq[:, :-1] == r + 1)
+        X = design.values[i_arr, t_arr]
+        eta = params.alpha[i_arr, r] + X @ params.beta[r].T
+        full = np.hstack([np.zeros((eta.shape[0], 1)), eta])
+        return i_arr, X, seq[i_arr, t_arr + 1], eta, np.logaddexp.reduce(full, axis=1)
+
+    @pytest.mark.parametrize("shift", ["per-point", "scalar"])
+    def test_extreme_shifts_match_fresh_cache(self, rng, shift):
+        # logits up to 30 in size and shifts up to 50: the max-shifted
+        # log-denominator must neither overflow nor lose the small terms
+        panel, design, params = random_instance(rng, n_subjects=40, n_days=30,
+                                                missing_rate=0.0)
+        seq = panel.codes
+        N, R, K = params.alpha.shape
+        params.alpha[...] = rng.uniform(-29.0, 29.0, params.alpha.shape)
+        params.beta[...] = rng.uniform(-0.5, 0.5, params.beta.shape)
+        rows = row_caches(params, seq, design)
+        assert np.abs(np.concatenate([d.eta.ravel() for d in rows])).max() <= 30.0
+        for r, data in enumerate(rows):
+            for k in range(K):
+                d = rng.uniform(-50.0, 50.0, N if shift == "per-point" else None)
+                per_point = d[data.i_arr] if shift == "per-point" else d
+                eta_k, log_denom, dll = data.propose(k, per_point)
+                shifted = params.copy()
+                shifted.alpha[:, r, k] += d
+                moved = self._built_from_params(shifted, seq, design, r)
+                np.testing.assert_allclose(eta_k, moved[3][:, k], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(log_denom, moved[4], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    dll, self._point_loglik(SimpleNamespace(
+                        eta=moved[3], target=moved[2], log_denom=moved[4]))
+                    - self._point_loglik(data), rtol=0, atol=1e-12)
+                keep = rng.random(N) < 0.5
+                params.alpha[keep, r, k] += d if shift == "scalar" else d[keep]
+                data.adopt(k, eta_k, log_denom, keep[data.i_arr])
+                _, _, _, eta, fresh_log_denom = self._built_from_params(
+                    params, seq, design, r)
+                np.testing.assert_allclose(data.eta, eta, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(data.log_denom, fresh_log_denom,
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["hmm", "markov"])
+    def test_gathered_cache_matches_params(self, rng, kind):
+        # the caches a sweep gathers from the data step's logits equal the
+        # ones computed from the parameters point by point
+        panel, design, params = random_instance(rng, n_subjects=12, n_days=20,
+                                                missing_rate=0.2)
+        if kind == "markov":
+            params.P = None
+        seq, _, eta = inference._draw_with_log_likelihood(panel, design, params, rng)
+        rows = mcmc._row_caches(seq, design, eta)
+        assert len(rows) == params.n_states
+        for r, data in enumerate(rows):
+            i_arr, X, target, eta_r, log_denom = self._built_from_params(
+                params, seq, design, r)
+            np.testing.assert_array_equal(data.i_arr, i_arr)
+            np.testing.assert_array_equal(data.X, X)
+            np.testing.assert_array_equal(data.target, target)
+            np.testing.assert_allclose(data.eta, eta_r, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(data.log_denom, log_denom, rtol=0, atol=1e-12)
+
+    def test_sweep_builds_one_cache_per_row(self, rng, monkeypatch):
+        # one cache per row per sweep, shared by the four Metropolis moves
+        panel, design, params = random_instance(rng, n_subjects=6, n_days=12)
+        built = []
+        row_data = mcmc._RowData
+        monkeypatch.setattr(mcmc, "_RowData",
+                            lambda *args: built.append(args[-1]) or row_data(*args))
+        R, K, p = params.beta.shape
+        mcmc._sweep(params, panel, design, PriorSpec(), rng,
+                    np.full((R, K), 0.4), np.full((R, K, p), 0.1))
+        assert built == [1, 2, 3]
 
 
 class TestJointBlockMoves:
@@ -280,14 +366,16 @@ class TestJointBlockMoves:
     def test_scale_move_preserves_standardized_deviations(self, rng):
         seq, design, params = self._instance(rng)
         before = (params.alpha - params.mu[None]) / params.sigma[None]
-        update_scale_joint(params, seq, design, PriorSpec(), rng, step=0.5)
+        update_scale_joint(params, row_caches(params, seq, design), PriorSpec(),
+                           rng, step=0.5)
         after = (params.alpha - params.mu[None]) / params.sigma[None]
         np.testing.assert_allclose(after, before, atol=1e-10)
 
     def test_location_move_preserves_deviations(self, rng):
         seq, design, params = self._instance(rng)
         before = params.alpha - params.mu[None]
-        update_location_joint(params, seq, design, PriorSpec(), rng, step=0.5)
+        update_location_joint(params, row_caches(params, seq, design), PriorSpec(),
+                              rng, step=0.5)
         after = params.alpha - params.mu[None]
         np.testing.assert_allclose(after, before, atol=1e-10)
 
@@ -311,7 +399,8 @@ class TestJointBlockMoves:
             params.alpha[:, 2, 0] = (params.mu[2, 0]
                                      + params.sigma[2, 0]
                                      * rng.standard_normal(N))
-            update_scale_joint(params, seq, design, prior, rng, step=0.6)
+            update_scale_joint(params, row_caches(params, seq, design), prior, rng,
+                               step=0.6)
             out[j] = params.sigma[2, 0] ** 2
         p = stats.kstest(nu0 * s0sq / out, "chi2", args=(nu0,)).pvalue
         assert p > KS_ALPHA
@@ -332,7 +421,8 @@ class TestJointBlockMoves:
             params.alpha[:, 2, 0] = (params.mu[2, 0]
                                      + params.sigma[2, 0]
                                      * rng.standard_normal(N))
-            update_location_joint(params, seq, design, prior, rng, step=0.7)
+            update_location_joint(params, row_caches(params, seq, design), prior,
+                                  rng, step=0.7)
             out[j] = params.mu[2, 0]
         p = stats.kstest(out, "norm", args=(0.0, prior.mu_sd)).pvalue
         assert p > KS_ALPHA

@@ -15,6 +15,7 @@ from panelhmm.model import (
     simulate_hmm,
     simulate_markov,
     softmax_rows,
+    transition_logits,
     transition_matrices,
     transition_matrix,
     transition_row,
@@ -39,6 +40,11 @@ class TestSoftmax:
         p = softmax_rows(np.array([800.0, -800.0]))
         assert np.isfinite(p).all()
         assert p[1] == pytest.approx(1.0)
+
+    def test_rows_without_targets_and_all_negative_logits(self):
+        np.testing.assert_array_equal(softmax_rows(np.zeros((2, 0))), np.ones((2, 1)))
+        np.testing.assert_array_equal(softmax_rows(np.array([-800.0, -900.0])),
+                                      [1.0, 0.0, 0.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalError):
@@ -133,6 +139,21 @@ class TestTransitions:
             for t in range(3):
                 np.testing.assert_allclose(
                     Q[i, t], transition_matrix(i, t, params, design), atol=1e-14)
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 5])
+    def test_matches_einsum_concatenate_reference(self, rng, S):
+        # [DERIVED] logits by einsum, then the softmax of the rows with the
+        # baseline column concatenated and the row maximum subtracted
+        design = random_design(7, 9, rng, p=3)
+        params = random_hmm_params(7, S, 3, 3, rng)
+        eta = params.alpha[:, None] + np.einsum("rkp,ntp->ntrk", params.beta,
+                                                design.values[:, :-1])
+        full = np.concatenate([np.zeros(eta.shape[:-1] + (1,)), eta], axis=-1)
+        e = np.exp(full - full.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(transition_logits(params, design), eta,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(transition_matrices(params, design),
+                                   e / e.sum(axis=-1, keepdims=True), rtol=0, atol=1e-15)
 
     def test_multi_step_is_ordered_product(self, rng):
         design = random_design(2, 6, rng)
