@@ -17,12 +17,8 @@ from .errors import InputError, NumericalError, PanelHmmError
 from .model import (
     Params,
     SimulatedPanel,
-    emission_prob,
-    multi_step_matrix,
     simulate_hmm,
     simulate_markov,
-    transition_matrix,
-    transition_row,
 )
 from .inference import (
     ffbs_sample_hidden,
@@ -51,11 +47,9 @@ from .diagnostics import (
 from .analytics import (
     average_stationary_difference,
     average_transition_difference,
-    posterior_mean_transitions,
     ppc_check,
     ppc_quantile,
     ppc_statistics,
-    relapse_segments,
     serial_dependence_table,
     stationary_distribution,
 )

@@ -30,18 +30,6 @@ class PpcResult:
     quantile: float
 
 
-@dataclass(frozen=True)
-class RelapseEpisode:
-    """Maximal run of decoded days spent in a designated relapse state.
-    Days are 1-based and inclusive; ``state`` is the modal decoded state
-    of the run."""
-
-    subject: int
-    start_day: int
-    end_day: int
-    state: int
-
-
 def default_comparison_levels(design: DesignMatrix, name: str) -> tuple:
     """(u_hi, u_lo) convention: binary inputs use their two standardized
     codes; continuous inputs use mean +/- 1 sd of the standardized values
@@ -142,17 +130,6 @@ def average_stationary_difference(chain_set, design: DesignMatrix,
             for x in (x_hi, x_lo))
         out.append((pi_hi - pi_lo).mean(axis=0))
     return np.stack(out)
-
-
-def posterior_mean_transitions(chain_set, design: DesignMatrix, subject: int,
-                               day: int) -> np.ndarray:
-    """Posterior mean of the subject's day-``day`` transition matrix
-    (mean of per-draw matrices; rows of the mean still sum to 1)."""
-    x = design.vector(subject, day)
-    alpha = chain_set.stacked("alpha")[:, subject]  # (G, R, K)
-    beta = chain_set.stacked("beta")
-    eta = alpha + np.einsum("grkp,p->grk", beta, x)
-    return softmax_rows(eta).mean(axis=0)
 
 
 def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
@@ -297,28 +274,3 @@ def serial_dependence_table(panel: ObservationPanel, design: DesignMatrix,
                 })
     return rows
 
-
-def relapse_segments(viterbi_paths, relapse_states) -> list:
-    """Maximal runs of decoded days in the relapse-state set, one
-    :class:`RelapseEpisode` per run per subject."""
-    relapse_states = set(int(s) for s in relapse_states)
-    episodes = []
-    for subject, path in enumerate(viterbi_paths):
-        states = np.asarray(path.states)
-        in_set = np.isin(states, sorted(relapse_states))
-        t = 0
-        T = states.size
-        while t < T:
-            if not in_set[t]:
-                t += 1
-                continue
-            start = t
-            while t < T and in_set[t]:
-                t += 1
-            run = states[start:t]
-            values, counts = np.unique(run, return_counts=True)
-            episodes.append(RelapseEpisode(
-                subject=subject, start_day=start + 1, end_day=t,
-                state=int(values[counts.argmax()]),
-            ))
-    return episodes

@@ -3,7 +3,7 @@
 Every command is a pure function of its input files, flags, and seed:
 re-execution reproduces the data outputs byte for byte.  Option
 precedence is flags > config file > defaults; the config file is plain
-``key = value`` text keyed by option names (dashes or underscores).
+``key = value`` text keyed by flag names (dashes or underscores).
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -25,10 +25,23 @@ from .errors import InputError, NumericalError, PanelHmmError
 SCHEMA_COMMENT = f"# schema-version: {storage.SCHEMA_VERSION}"
 
 
-def _read_config(path) -> dict:
-    out = {}
+def _apply_config(ctx, path) -> set:
+    """Apply a ``key = value`` config file to the options the user left at
+    their defaults, and return the names of the options it set.
+
+    Keys are flag names without the leading dashes, with dashes or
+    underscores (``model``, ``step-alpha``); the input, output and config
+    paths are flags only.  Values are checked as the flag's would be.  A
+    line that is not ``key = value``, an unknown key or a bad value is an
+    input error naming the file, line and key.
+    """
     if path is None:
-        return out
+        return set()
+    options = {opt.lstrip("-").replace("-", "_"): param
+               for param in ctx.command.params
+               if param.name not in ("y_path", "x_path", "config_path", "out_dir")
+               for opt in param.opts}
+    applied = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -37,19 +50,19 @@ def _read_config(path) -> dict:
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
-
-
-def _resolve(ctx, config: dict, **casts):
-    """Apply config-file values for options the user left at default."""
-    for key, cast in casts.items():
-        source = ctx.get_parameter_source(key)
-        if source is not None and source.name != "DEFAULT":
-            continue
-        if key in config:
-            ctx.params[key] = cast(config[key])
-    return ctx.params
+            param = options.get(key.replace("-", "_"))
+            if param is None:
+                raise InputError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"keys are {', '.join(sorted(options))}")
+            try:
+                value = param.type.convert(value, param, ctx)
+            except click.BadParameter as exc:
+                raise InputError(f"{path}:{lineno}: bad value for {key!r}: "
+                                 f"{exc.message}") from None
+            if ctx.get_parameter_source(param.name).name == "DEFAULT":
+                ctx.params[param.name] = value
+                applied.add(param.name)
+    return applied
 
 
 def _load_data(y_path, x_path, missing_token):
@@ -120,13 +133,11 @@ def cli():
 def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
         step_alpha, step_beta, missing_token, config_path, out_dir):
     """Run the MCMC sampler and persist posterior samples."""
-    config = _read_config(config_path)
-    p = _resolve(ctx, config, model_kind=str, states=int, chains=int,
-                 burnin=int, keep=int, seed=int, step_alpha=float,
-                 step_beta=float, missing_token=str)
+    from_config = _apply_config(ctx, config_path)
+    p = ctx.params
     panel, design = _load_data(y_path, x_path, p["missing_token"])
     states_given = (ctx.get_parameter_source("states").name != "DEFAULT"
-                    or "states" in config)
+                    or "states" in from_config)
     if p["model_kind"] == "markov" and states_given and p["states"] != panel.m_levels:
         raise InputError(
             f"--states {p['states']}: a Markov model's states are the "
@@ -156,8 +167,8 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
 @cli.command()
 @click.option("--params", "params_path", required=True, type=click.Path(exists=True))
 @click.option("--x", "x_path", required=True, type=click.Path(exists=True))
-@click.option("--days", type=int, required=True)
-@click.option("--subjects", type=int, default=None)
+@click.option("--days", type=click.IntRange(min=2), required=True)
+@click.option("--subjects", type=click.IntRange(min=1), default=None)
 @click.option("--mask-from", "mask_path", type=click.Path(exists=True), default=None)
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -13,8 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,15 +66,6 @@ class ObservationPanel:
     @property
     def n_days(self) -> int:
         return self.codes.shape[1]
-
-    def is_missing(self, subject: int, day: int) -> bool:
-        return bool(self.mask[subject, day])
-
-    def level_counts(self) -> dict:
-        """Counts of each observed level plus the missing-cell count."""
-        counts = {m: int(np.sum(self.codes == m)) for m in range(1, self.m_levels + 1)}
-        counts["missing"] = int(self.mask.sum())
-        return counts
 
 
 @dataclass(frozen=True)
@@ -170,15 +160,6 @@ class DesignMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[2]
-
-    def vector(self, subject: int, day: int) -> np.ndarray:
-        """Design vector for one subject-day; raises on out-of-bounds indices."""
-        if not (0 <= subject < self.n_subjects and 0 <= day < self.n_days):
-            raise IndexError(
-                f"(subject={subject}, day={day}) outside panel of shape "
-                f"{self.values.shape[:2]}"
-            )
-        return self.values[subject, day].copy()
 
     def column_index(self, name: str) -> int:
         try:

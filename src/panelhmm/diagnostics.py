@@ -89,19 +89,19 @@ def deviance(panel, design, params) -> float:
     return -2.0 * loglik(panel, design, params)
 
 
-def dic(chain_set, panel, design, average: str = "probability") -> DicReport:
+def dic(chain_set, panel, design) -> DicReport:
     """DIC from a fitted chain set.
 
     D-bar comes from the stored per-iteration deviances; D(theta-bar) is
     evaluated at the element-wise posterior mean parameters (probability
-    vectors renormalized; ``average="logit"`` switches the averaging
-    space).  The identity DIC = 2*D-bar - D(theta-bar) holds exactly.
+    vectors renormalized).  The identity DIC = 2*D-bar - D(theta-bar)
+    holds exactly.
     """
     devs = chain_set.per_chain("deviance").ravel()
     if devs.size == 0:
         raise InputError("chain set has no retained draws")
     d_bar = float(devs.mean())
-    theta_bar = chain_set.posterior_mean_params(average=average)
+    theta_bar = chain_set.posterior_mean_params()
     d_at_mean = deviance(panel, design, theta_bar)
     p_d = d_bar - d_at_mean
     return DicReport(mean_deviance=d_bar, deviance_at_mean=d_at_mean,

@@ -23,20 +23,6 @@ from .model import Params, softmax_rows, transition_logits, transition_matrices
 
 
 @dataclass(frozen=True)
-class ForwardBackwardResult:
-    """Per-subject filtered/smoothed distributions and the log-likelihood.
-
-    ``scaling[i, t]`` is the day-t normalizer; its logs sum to subject i's
-    log-likelihood contribution.
-    """
-
-    log_likelihood: float
-    filtered: np.ndarray
-    smoothed: np.ndarray
-    scaling: np.ndarray
-
-
-@dataclass(frozen=True)
 class ViterbiPath:
     """Most likely hidden path for one subject and its log joint
     probability with the observed data."""
@@ -48,26 +34,17 @@ class ViterbiPath:
 def _hmm_factors(panel: ObservationPanel, P: np.ndarray) -> np.ndarray:
     """Likelihood factors L[i, t, s] = p(y_it | H_it = s) under the (S, M)
     emissions ``P``, 1 on missing days."""
-    L = P.T[np.clip(panel.codes, 1, None) - 1]  # (N, T, S)
-    return np.where(panel.mask[:, :, None], 1.0, L)
-
-
-def _markov_factors(panel: ObservationPanel, m_levels: int) -> np.ndarray:
-    """Indicator factors over observed levels, 1 on missing days."""
-    N, T = panel.codes.shape
-    L = np.ones((N, T, m_levels))
-    obs = ~panel.mask
-    eye = np.eye(m_levels)
-    L[obs] = eye[panel.codes[obs] - 1]
+    L = P.T[np.clip(panel.codes, 1, None) - 1]  # (N, T, S), a new array
+    L[panel.mask] = 1.0
     return L
 
 
 def _factors(panel: ObservationPanel, params: Params) -> np.ndarray:
-    """Likelihood factors of either model: emissions for the HMM,
-    indicators on the observed levels for the Markov model."""
-    if params.P is None:
-        return _markov_factors(panel, params.m_levels)
-    return _hmm_factors(panel, params.P)
+    """Likelihood factors of either model: emissions for the HMM; for the
+    Markov model, whose states are the observed levels, the identity
+    emissions, i.e. indicators on the observed levels."""
+    P = np.eye(params.m_levels) if params.P is None else params.P
+    return _hmm_factors(panel, P)
 
 
 def _filter_all(L: np.ndarray, Q: np.ndarray, pi: np.ndarray):
@@ -134,53 +111,29 @@ def _log_scaling(scaling: np.ndarray) -> np.ndarray:
                         -np.inf)
 
 
-def forward_backward(panel: ObservationPanel, design: DesignMatrix,
-                     params: Params) -> ForwardBackwardResult:
-    """Full filtering/smoothing pass for the HMM."""
-    L = _hmm_factors(panel, params.P)
-    Q = transition_matrices(params, design)
-    filtered, scaling = _filter_all(L, Q, params.pi)
-    smoothed = _backward_smooth(L, Q, filtered)
-    ll = float(_log_scaling(scaling).sum())
-    return ForwardBackwardResult(
-        log_likelihood=ll, filtered=filtered, smoothed=smoothed, scaling=scaling
-    )
+def _scaling(panel: ObservationPanel, design: DesignMatrix,
+             params: Params) -> np.ndarray:
+    """The forward filter's per-day normalizers, shape (N, T), under the
+    model ``params`` belong to."""
+    return _filter_all(_factors(panel, params),
+                       transition_matrices(params, design), params.pi)[1]
 
 
 def log_likelihood_hmm(panel: ObservationPanel, design: DesignMatrix,
                        params: Params) -> float:
     """log p(Y_obs | theta), hidden states marginalized exactly."""
-    L = _hmm_factors(panel, params.P)
-    Q = transition_matrices(params, design)
-    _, scaling = _filter_all(L, Q, params.pi)
-    return float(_log_scaling(scaling).sum())
+    return float(_log_scaling(_scaling(panel, design, params)).sum())
 
 
 def log_likelihood_markov(panel: ObservationPanel, design: DesignMatrix,
-                          params: Params,
-                          imputed: np.ndarray | None = None) -> float:
+                          params: Params) -> float:
     """Markov-model log-likelihood.
 
-    Without ``imputed``, missing runs are marginalized exactly via the
-    multi-step transition structure (the initial distribution enters at
-    day 1 and is propagated to the first observed cell).  With a complete
-    panel supplied, returns the complete-data log-likelihood.
+    Missing runs are marginalized exactly via the multi-step transition
+    structure (the initial distribution enters at day 1 and is propagated
+    to the first observed cell).
     """
-    if imputed is None:
-        L = _markov_factors(panel, params.m_levels)
-        Q = transition_matrices(params, design)
-        _, scaling = _filter_all(L, Q, params.pi)
-        return float(_log_scaling(scaling).sum())
-    y = np.asarray(imputed, dtype=np.int64)
-    Q = transition_matrices(params, design)
-    N, T = y.shape
-    rows = np.arange(N)[:, None]
-    days = np.arange(T - 1)[None, :]
-    with np.errstate(divide="ignore"):
-        ll = np.log(params.pi[y[:, 0] - 1]).sum()
-        steps = Q[rows, days, y[:, :-1] - 1, y[:, 1:] - 1]
-        ll += np.log(steps).sum()
-    return float(ll)
+    return float(_log_scaling(_scaling(panel, design, params)).sum())
 
 
 def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
@@ -220,7 +173,10 @@ def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
 def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
                        params: Params) -> np.ndarray:
     """Exact p(H_it = s | Y_obs, theta), shape (N, T, S)."""
-    return forward_backward(panel, design, params).smoothed
+    L = _hmm_factors(panel, params.P)
+    Q = transition_matrices(params, design)
+    filtered, _ = _filter_all(L, Q, params.pi)
+    return _backward_smooth(L, Q, filtered)
 
 
 def viterbi(panel: ObservationPanel, design: DesignMatrix,
@@ -279,6 +235,4 @@ def pointwise_predictive(panel: ObservationPanel, design: DesignMatrix,
     parameters, p(y_t | previous observed value, theta), with multi-step
     transitions across gaps.
     """
-    _, scaling = _filter_all(_factors(panel, params),
-                             transition_matrices(params, design), params.pi)
-    return np.where(panel.mask, np.nan, scaling)
+    return np.where(panel.mask, np.nan, _scaling(panel, design, params))

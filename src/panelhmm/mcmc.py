@@ -157,22 +157,12 @@ class ChainSet:
         chain, local = divmod(g, self.n_kept)
         return self.chains[chain].params_at(local)
 
-    def posterior_mean_params(self, average: str = "probability"):
-        """Element-wise posterior mean parameters.
-
-        Probability vectors are averaged either in probability space and
-        renormalized (default) or via mean logits (``average="logit"``).
-        """
+    def posterior_mean_params(self):
+        """Element-wise posterior mean parameters; probability vectors are
+        averaged in probability space and renormalized."""
         def prob_mean(name):
-            a = self.stacked(name)
-            if average == "probability":
-                m = a.mean(axis=0)
-                return m / m.sum(axis=-1, keepdims=True)
-            if average == "logit":
-                logit = np.log(np.clip(a, 1e-300, None))
-                m = np.exp(logit.mean(axis=0))
-                return m / m.sum(axis=-1, keepdims=True)
-            raise InputError(f"unknown averaging space {average!r}")
+            m = self.stacked(name).mean(axis=0)
+            return m / m.sum(axis=-1, keepdims=True)
 
         return Params(
             alpha=self.stacked("alpha").mean(axis=0),

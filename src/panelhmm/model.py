@@ -159,34 +159,6 @@ def inverse_softmax(row: np.ndarray, clamp: float = 1e-6) -> np.ndarray:
     return np.log(row[1:] / row[0])
 
 
-def transition_row(from_state: int, alpha_i: np.ndarray, beta: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """One row of a subject-day transition matrix.
-
-    Parameters
-    ----------
-    from_state : int
-        Row value (1-based state or level).
-    alpha_i : ndarray, shape (R, K)
-        The subject's random-intercept block.
-    beta : ndarray, shape (R, K, p)
-        Fixed effects.
-    x : ndarray, shape (p,)
-        Design vector for the day of the transition.
-    """
-    r = from_state - 1
-    eta = alpha_i[r] + beta[r] @ np.asarray(x, dtype=float)
-    return softmax_rows(eta)
-
-
-def transition_matrix(subject: int, day: int, params, design: DesignMatrix) -> np.ndarray:
-    """Full transition matrix for one subject-day; row r is
-    :func:`transition_row` evaluated at that day's design vector."""
-    x = design.vector(subject, day)
-    eta = params.alpha[subject] + params.beta @ x
-    return softmax_rows(eta)
-
-
 def transition_logits(params, design: DesignMatrix) -> np.ndarray:
     """All per-day transition logits, shape (N, T-1, R, K): entry
     ``[i, t, r-1, s-2]`` is the logit of moving from row value r into
@@ -206,26 +178,6 @@ def transition_matrices(params, design: DesignMatrix) -> np.ndarray:
     evaluated at the design vector of day t.
     """
     return softmax_rows(transition_logits(params, design))
-
-
-def multi_step_matrix(subject: int, start_day: int, gap: int, params,
-                      design: DesignMatrix) -> np.ndarray:
-    """Ordered product of the gap + 1 per-day matrices starting at
-    ``start_day``; the (r, s) entry is the probability of being in s at
-    day ``start_day + gap + 1`` given r at ``start_day``."""
-    if gap < 0:
-        raise InputError("gap must be nonnegative")
-    if start_day < 0 or start_day + gap + 1 > design.n_days - 1:
-        raise IndexError("multi-step window extends past the last day")
-    out = transition_matrix(subject, start_day, params, design)
-    for d in range(start_day + 1, start_day + gap + 1):
-        out = out @ transition_matrix(subject, d, params, design)
-    return out
-
-
-def emission_prob(state: int, level: int, params: Params) -> float:
-    """P(Y = level | H = state); both arguments 1-based."""
-    return float(params.P[state - 1, level - 1])
 
 
 def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 
 from panelhmm.analytics import (
-    RelapseEpisode,
     average_stationary_difference,
     average_transition_difference,
     default_comparison_levels,
-    posterior_mean_transitions,
     ppc_check,
     ppc_quantile,
     ppc_replicates,
     ppc_statistics,
-    relapse_segments,
     serial_dependence_table,
     stationary_distribution,
 )
 from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
-from panelhmm.inference import ViterbiPath, pointwise_predictive
+from panelhmm.inference import pointwise_predictive
 from panelhmm.mcmc import Chain, ChainSet, SamplerConfig, run_chains
 from panelhmm.model import softmax_rows, transition_matrices
 
@@ -218,23 +215,6 @@ class TestStationaryComparisons:
                                        atol=1e-12)
 
 
-class TestPosteriorMeanTransitions:
-    def test_mean_of_per_draw_matrices(self, rng):
-        panel, design, _ = random_instance(rng, n_subjects=4, n_days=10)
-        cs = run_chains("hmm", panel, design,
-                        config=SamplerConfig(n_chains=1, n_burnin=10,
-                                             n_keep=8, seed=2))
-        got = posterior_mean_transitions(cs, design, subject=1, day=3)
-        x = design.vector(1, 3)
-        expected = np.zeros((3, 3))
-        for g in range(8):
-            p = cs.params_at(g)
-            expected += softmax_rows(p.alpha[1] + p.beta @ x)
-        expected /= 8
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-        np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
-
-
 class TestPpcStatistics:
     def test_hand_computed_fixture(self):
         codes = np.array([
@@ -359,28 +339,3 @@ class TestSerialDependence:
         patterns = {(r["first"], r["second"], r["pattern"]) for r in table}
         assert all(i != j for i, j, _ in patterns)
 
-
-class TestRelapseSegments:
-    def _paths(self, *state_lists):
-        return [ViterbiPath(states=np.array(s), log_joint=0.0)
-                for s in state_lists]
-
-    def test_maximal_runs(self):
-        paths = self._paths([1, 2, 2, 3, 1, 1, 3], [1, 1, 1, 1, 1, 1, 1])
-        episodes = relapse_segments(paths, relapse_states={2, 3})
-        assert episodes == [
-            RelapseEpisode(subject=0, start_day=2, end_day=4, state=2),
-            RelapseEpisode(subject=0, start_day=7, end_day=7, state=3),
-        ]
-
-    def test_full_span_and_modal_state(self):
-        paths = self._paths([3, 3, 2, 3, 3])
-        episodes = relapse_segments(paths, relapse_states={2, 3})
-        assert episodes == [
-            RelapseEpisode(subject=0, start_day=1, end_day=5, state=3),
-        ]
-
-    def test_single_state_set(self):
-        paths = self._paths([1, 3, 3, 2, 3])
-        episodes = relapse_segments(paths, relapse_states={3})
-        assert [(e.start_day, e.end_day) for e in episodes] == [(2, 3), (5, 5)]

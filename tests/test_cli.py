@@ -103,6 +103,43 @@ class TestFit:
         ])
         assert code == 2
 
+    def test_config_keys_are_flag_names(self, workspace, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = markov\nchains = 1\nburnin = 2\nkeep = 2\n"
+                       "step-alpha = 0.3\nmissing_token = NA\n")
+        out = tmp_path / "fit"
+        code = main([
+            "fit", "--y", str(workspace / "y.csv"),
+            "--x", str(workspace / "x.csv"),
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert config["model"] == "markov"
+        assert config["step_alpha"] == 0.3
+        assert storage.load_chain_set(out).model_kind == "markov"
+
+    @pytest.mark.parametrize("line, problem", [
+        ("chians = 1", "unknown key 'chians'"),
+        ("out = x", "unknown key 'out'"),
+        ("model_kind = markov", "unknown key 'model_kind'"),
+        ("chains = abc", "bad value for 'chains'"),
+        ("model = semi-markov", "bad value for 'model'"),
+    ], ids=["misspelt", "path-flag", "dest-name", "not-an-int", "not-a-choice"])
+    def test_config_unknown_key_or_bad_value_exits_2(self, workspace, tmp_path,
+                                                     capsys, line, problem):
+        # even where a flag overrides the key, the line is an error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        code = main([
+            "fit", "--y", str(workspace / "y.csv"),
+            "--x", str(workspace / "x.csv"), "--chains", "1", "--burnin", "2",
+            "--keep", "2", "--config", str(cfg), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"{cfg}:2: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_subject_mismatch_exits_2(self, workspace, tmp_path):
         y_small = tmp_path / "y.csv"
         y_small.write_text("1,2,3\n")
@@ -486,6 +523,22 @@ class TestSimulate:
         code = main([
             "simulate", "--params", str(params_path),
             "--x", str(workspace / "x.csv"), "--days", "12",
+            "--out", str(tmp_path / "sim"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "sim").exists()
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--days", "0"), ("--days", "-3"), ("--days", "1"),
+        ("--subjects", "0"), ("--subjects", "-1"),
+    ])
+    def test_out_of_range_sizes_exit_2(self, workspace, tmp_path, flag, value):
+        sizes = {"--days": "12", flag: value}
+        code = main([
+            "simulate", "--params", str(workspace / "params.txt"),
+            "--x", str(workspace / "x.csv"), "--days", sizes["--days"],
+            *(["--subjects", value] if flag == "--subjects" else []),
             "--out", str(tmp_path / "sim"),
         ])
         assert code == 2

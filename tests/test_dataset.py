@@ -59,7 +59,7 @@ class TestObservationPanel:
         mask = np.array([[False, True, False]])
         panel = ObservationPanel(codes=codes, mask=mask)
         assert panel.codes[0, 1] == 0
-        assert panel.is_missing(0, 1)
+        assert panel.mask[0, 1]
         with pytest.raises(ValueError):
             panel.codes[0, 0] = 2
         with pytest.raises(ValueError):
@@ -70,14 +70,6 @@ class TestObservationPanel:
             ObservationPanel(codes=np.array([[4]]), mask=np.array([[False]]))
         with pytest.raises(InputError):
             ObservationPanel(codes=np.array([[0]]), mask=np.array([[False]]))
-
-    def test_level_counts(self):
-        panel = ObservationPanel(
-            codes=np.array([[1, 1, 2, 0], [3, 0, 2, 1]]),
-            mask=np.array([[0, 0, 0, 1], [0, 1, 0, 0]], dtype=bool),
-        )
-        assert panel.level_counts() == {1: 3, 2: 2, 3: 1, "missing": 2}
-
 
 class TestLoadObservations:
     def test_round_trip(self, tmp_path, rng):
@@ -216,15 +208,6 @@ class TestBuildDesign:
         assert t.mean() == pytest.approx(0.0, abs=1e-12)
         assert t.std() == pytest.approx(0.5, abs=1e-12)
         assert np.all(np.diff(t) > 0)
-
-    def test_vector_bounds(self):
-        raw = RawCovariates(treatment=[0, 1], sex=[1, 0],
-                            d_drink=[0.2, 0.6], d_heavy=[0.1, 0.3])
-        design = build_design(raw, 3)
-        with pytest.raises(IndexError):
-            design.vector(0, 3)
-        with pytest.raises(IndexError):
-            design.vector(2, 0)
 
     def test_unknown_covariate_name(self):
         raw = RawCovariates(treatment=[0, 1], sex=[1, 0],

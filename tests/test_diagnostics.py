@@ -128,14 +128,6 @@ class TestDic:
         expected = deviance(panel, design, cs.posterior_mean_params())
         assert report.deviance_at_mean == pytest.approx(expected, abs=1e-12)
 
-    def test_logit_averaging_option(self, fit):
-        panel, design, cs = fit
-        a = dic(cs, panel, design, average="probability")
-        b = dic(cs, panel, design, average="logit")
-        assert a.mean_deviance == b.mean_deviance
-        assert a.deviance_at_mean != b.deviance_at_mean
-
-
 class TestScalarSummaries:
     def test_paths_cover_all_scalars(self, summaries):
         cs, rows = summaries

@@ -5,8 +5,9 @@ import pytest
 
 from panelhmm.dataset import DesignMatrix, ObservationPanel
 from panelhmm.inference import (
+    _filter_all,
+    _hmm_factors,
     ffbs_sample_hidden,
-    forward_backward,
     log_joint_hmm,
     log_likelihood_hmm,
     log_likelihood_markov,
@@ -79,26 +80,33 @@ class TestLikelihoodOracle:
 
 
 class TestSmoothing:
-    def test_marginals_match_enumeration(self):
+    @pytest.mark.parametrize("n_subjects", [1, 4])
+    def test_marginals_match_enumeration(self, n_subjects):
         rng = np.random.default_rng(13)
         for trial in range(10):
             T = int(rng.integers(2, 6))
-            panel, design, params = random_instance(rng, n_days=T, S=3)
-            paths, probs = enumerate_paths(panel, design, params)
-            probs = probs / probs.sum()
-            expected = np.zeros((T, 3))
-            for h, pr in zip(paths, probs):
-                for t in range(T):
-                    expected[t, h[t] - 1] += pr
-            got = smoothed_marginals(panel, design, params)[0]
-            np.testing.assert_allclose(got, expected, atol=1e-10)
+            panel, design, params = random_instance(rng, n_subjects=n_subjects,
+                                                    n_days=T, S=3)
+            marginals = smoothed_marginals(panel, design, params)
+            assert marginals.shape == (n_subjects, T, 3)
+            for i in range(n_subjects):
+                paths, probs = enumerate_paths(panel, design, params, subject=i)
+                probs = probs / probs.sum()
+                expected = np.zeros((T, 3))
+                for h, pr in zip(paths, probs):
+                    for t in range(T):
+                        expected[t, h[t] - 1] += pr
+                np.testing.assert_allclose(marginals[i], expected, atol=1e-10)
 
     def test_filtered_and_smoothed_are_distributions(self, rng):
         panel, design, params = random_instance(rng, n_subjects=3, n_days=8)
-        fb = forward_backward(panel, design, params)
-        np.testing.assert_allclose(fb.filtered.sum(axis=2), 1.0, atol=1e-12)
-        np.testing.assert_allclose(fb.smoothed.sum(axis=2), 1.0, atol=1e-12)
-        assert fb.log_likelihood == pytest.approx(
+        filtered, scaling = _filter_all(_hmm_factors(panel, params.P),
+                                        transition_matrices(params, design),
+                                        params.pi)
+        smoothed = smoothed_marginals(panel, design, params)
+        np.testing.assert_allclose(filtered.sum(axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(smoothed.sum(axis=2), 1.0, atol=1e-12)
+        assert np.log(scaling).sum() == pytest.approx(
             log_likelihood_hmm(panel, design, params))
 
 
@@ -212,8 +220,6 @@ class TestMarkovLikelihood:
                 expected += np.log(Q[i, t, codes[i, t] - 1, codes[i, t + 1] - 1])
         assert log_likelihood_markov(panel, design, params) == \
             pytest.approx(expected, rel=1e-12)
-        assert log_likelihood_markov(panel, design, params, imputed=codes) == \
-            pytest.approx(expected, rel=1e-12)
 
     def test_gap_marginalization_equals_multi_step(self, rng):
         # [DERIVED] marginal likelihood over a gap equals summing the
@@ -223,12 +229,14 @@ class TestMarkovLikelihood:
         codes = np.array([[1, 0, 0, 2, 3]])
         mask = np.array([[False, True, True, False, False]])
         panel = ObservationPanel(codes=codes, mask=mask)
+        Q = transition_matrices(params, design)
         total = 0.0
         for a, b in itertools.product(range(1, 4), repeat=2):
-            filled = codes.copy()
-            filled[0, 1], filled[0, 2] = a, b
-            total += np.exp(log_likelihood_markov(
-                panel, design, params, imputed=filled))
+            y = [1, a, b, 2, 3]
+            complete = params.pi[y[0] - 1]
+            for t in range(4):
+                complete *= Q[0, t, y[t] - 1, y[t + 1] - 1]
+            total += complete
         got = np.exp(log_likelihood_markov(panel, design, params))
         assert got == pytest.approx(total, rel=1e-10)
 

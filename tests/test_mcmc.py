@@ -595,9 +595,7 @@ class TestChainOrchestration:
 
     def test_posterior_mean_params_valid(self, rng):
         _, _, cs = self._small_fit(rng)
-        for average in ("probability", "logit"):
-            params = cs.posterior_mean_params(average=average)
-            params.validate()
+        cs.posterior_mean_params().validate()
 
     def test_params_at_pooled_indexing(self, rng):
         _, _, cs = self._small_fit(rng)

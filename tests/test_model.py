@@ -3,12 +3,11 @@ import pytest
 
 from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
+from panelhmm.inference import _hmm_factors, log_likelihood_markov
 from panelhmm.model import (
     Params,
-    emission_prob,
     inverse_softmax,
     load_params,
-    multi_step_matrix,
     params_from_text,
     params_to_text,
     save_params,
@@ -17,8 +16,6 @@ from panelhmm.model import (
     softmax_rows,
     transition_logits,
     transition_matrices,
-    transition_matrix,
-    transition_row,
 )
 
 from conftest import random_design, random_hmm_params, random_markov_params
@@ -116,29 +113,30 @@ class TestTransitions:
     def test_row_matches_hand_softmax(self, rng):
         design = random_design(1, 3, rng)
         params = random_hmm_params(1, 3, 3, 2, rng)
-        x = design.vector(0, 1)
+        x = design.values[0, 1]
+        Q = transition_matrices(params, design)[0, 1]
         for r in range(1, 4):
-            row = transition_row(r, params.alpha[0], params.beta, x)
             eta = params.alpha[0, r - 1] + params.beta[r - 1] @ x
             expected = np.concatenate([[1.0], np.exp(eta)])
             expected /= expected.sum()
-            np.testing.assert_allclose(row, expected, atol=1e-12)
+            np.testing.assert_allclose(Q[r - 1], expected, atol=1e-12)
 
     def test_matrix_rows_stochastic(self, rng):
         design = random_design(3, 4, rng)
         params = random_hmm_params(3, 3, 3, 2, rng)
-        Q = transition_matrix(1, 2, params, design)
-        np.testing.assert_allclose(Q.sum(axis=1), 1.0, atol=1e-12)
+        Q = transition_matrices(params, design)
+        np.testing.assert_allclose(Q.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_batch_matches_single(self, rng):
+        # each subject-day's matrix is the softmax of that day's logits alone
         design = random_design(3, 4, rng)
         params = random_hmm_params(3, 3, 3, 2, rng)
         Q = transition_matrices(params, design)
         assert Q.shape == (3, 3, 3, 3)
         for i in range(3):
             for t in range(3):
-                np.testing.assert_allclose(
-                    Q[i, t], transition_matrix(i, t, params, design), atol=1e-14)
+                single = softmax_rows(params.alpha[i] + params.beta @ design.values[i, t])
+                np.testing.assert_allclose(Q[i, t], single, atol=1e-14)
 
     @pytest.mark.parametrize("S", [1, 2, 3, 5])
     def test_matches_einsum_concatenate_reference(self, rng, S):
@@ -156,23 +154,30 @@ class TestTransitions:
                                    e / e.sum(axis=-1, keepdims=True), rtol=0, atol=1e-15)
 
     def test_multi_step_is_ordered_product(self, rng):
+        # across a two-day gap the Markov likelihood moves by the ordered
+        # product of the per-day matrices; subject 0 has no data and the
+        # trailing missing day of subject 1 contributes a factor of 1
         design = random_design(2, 6, rng)
-        params = random_hmm_params(2, 3, 3, 2, rng)
+        params = random_markov_params(2, 3, 2, rng)
         Q = transition_matrices(params, design)
-        got = multi_step_matrix(1, 1, 2, params, design)
         expected = Q[1, 1] @ Q[1, 2] @ Q[1, 3]
+        mask = np.array([[True] * 6, [True, False, True, True, False, True]])
+        got = np.zeros((3, 3))
+        for a in range(1, 4):
+            for b in range(1, 4):
+                codes = np.zeros((2, 6), dtype=int)
+                codes[1, 1], codes[1, 4] = a, b
+                panel = ObservationPanel(codes=codes, mask=mask)
+                lik = np.exp(log_likelihood_markov(panel, design, params))
+                got[a - 1, b - 1] = lik / (params.pi @ Q[1, 0])[a - 1]
         np.testing.assert_allclose(got, expected, atol=1e-14)
         np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_multi_step_bounds(self, rng):
-        design = random_design(1, 4, rng)
-        params = random_hmm_params(1, 3, 3, 2, rng)
-        with pytest.raises(IndexError):
-            multi_step_matrix(0, 2, 2, params, design)
-
     def test_emission_prob(self, rng):
+        # P(Y = 3 | H = 2) is P[1, 2]: states and levels are 1-based
         params = random_hmm_params(1, 3, 3, 2, rng)
-        assert emission_prob(2, 3, params) == params.P[1, 2]
+        panel = ObservationPanel(codes=np.array([[3]]), mask=np.array([[False]]))
+        assert _hmm_factors(panel, params.P)[0, 0, 1] == params.P[1, 2]
 
 
 class TestSimulation:
