@@ -23,6 +23,7 @@ from .dataset import build_design, load_covariates, load_observations
 from .errors import InputError, NumericalError, PanelHmmError
 
 SCHEMA_COMMENT = f"# schema-version: {storage.SCHEMA_VERSION}"
+INPUT_FILE = click.Path(exists=True, dir_okay=False)  # a directory exits 2
 
 
 def _apply_config(ctx, path) -> set:
@@ -115,8 +116,8 @@ def cli():
 
 
 @cli.command()
-@click.option("--y", "y_path", required=True, type=click.Path(exists=True))
-@click.option("--x", "x_path", required=True, type=click.Path(exists=True))
+@click.option("--y", "y_path", required=True, type=INPUT_FILE)
+@click.option("--x", "x_path", required=True, type=INPUT_FILE)
 @click.option("--model", "model_kind", type=click.Choice(["hmm", "markov"]),
               default="hmm", show_default=True)
 @click.option("--states", type=int, default=3, show_default=True)
@@ -127,7 +128,7 @@ def cli():
 @click.option("--step-alpha", type=float, default=0.4, show_default=True)
 @click.option("--step-beta", type=float, default=0.1, show_default=True)
 @click.option("--missing-token", default="NA", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=INPUT_FILE, default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.pass_context
 def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
@@ -165,11 +166,11 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
 
 
 @cli.command()
-@click.option("--params", "params_path", required=True, type=click.Path(exists=True))
-@click.option("--x", "x_path", required=True, type=click.Path(exists=True))
+@click.option("--params", "params_path", required=True, type=INPUT_FILE)
+@click.option("--x", "x_path", required=True, type=INPUT_FILE)
 @click.option("--days", type=click.IntRange(min=2), required=True)
 @click.option("--subjects", type=click.IntRange(min=1), default=None)
-@click.option("--mask-from", "mask_path", type=click.Path(exists=True), default=None)
+@click.option("--mask-from", "mask_path", type=INPUT_FILE, default=None)
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -200,8 +201,8 @@ def simulate(params_path, x_path, days, subjects, mask_path, missing_token,
 
 @cli.command()
 @click.option("--fit", "fit_dir", required=True, type=click.Path(exists=True))
-@click.option("--y", "y_path", required=True, type=click.Path(exists=True))
-@click.option("--x", "x_path", required=True, type=click.Path(exists=True))
+@click.option("--y", "y_path", required=True, type=INPUT_FILE)
+@click.option("--x", "x_path", required=True, type=INPUT_FILE)
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
@@ -240,8 +241,8 @@ def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
 
 @cli.command()
 @click.option("--fit", "fit_dir", required=True, type=click.Path(exists=True))
-@click.option("--y", "y_path", required=True, type=click.Path(exists=True))
-@click.option("--x", "x_path", required=True, type=click.Path(exists=True))
+@click.option("--y", "y_path", required=True, type=INPUT_FILE)
+@click.option("--x", "x_path", required=True, type=INPUT_FILE)
 @click.option("--mode", type=click.Choice(["new-subjects", "same-subjects"]),
               default="new-subjects", show_default=True)
 @click.option("--draws", type=click.IntRange(min=1), default=None,
@@ -282,7 +283,7 @@ def ppc(fit_dir, y_path, x_path, mode, draws, missing_token, seed, out_dir):
 
 @cli.command()
 @click.option("--fit", "fit_dir", required=True, type=click.Path(exists=True))
-@click.option("--x", "x_path", required=True, type=click.Path(exists=True))
+@click.option("--x", "x_path", required=True, type=INPUT_FILE)
 @click.option("--days", type=int, default=None,
               help="Panel length of the fit (defines the time grid); "
                    "defaults to the fit's, and another value is an error.")
@@ -326,8 +327,8 @@ def apc(fit_dir, x_path, days, kind, out_dir):
 
 @cli.command()
 @click.option("--fit", "fit_dir", required=True, type=click.Path(exists=True))
-@click.option("--y", "y_path", required=True, type=click.Path(exists=True))
-@click.option("--x", "x_path", required=True, type=click.Path(exists=True))
+@click.option("--y", "y_path", required=True, type=INPUT_FILE)
+@click.option("--x", "x_path", required=True, type=INPUT_FILE)
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def viterbi(fit_dir, y_path, x_path, missing_token, out_dir):

@@ -31,12 +31,10 @@ class ViterbiPath:
     log_joint: float
 
 
-def _hmm_factors(panel: ObservationPanel, P: np.ndarray) -> np.ndarray:
-    """Likelihood factors L[i, t, s] = p(y_it | H_it = s) under the (S, M)
-    emissions ``P``, 1 on missing days."""
-    L = P.T[np.clip(panel.codes, 1, None) - 1]  # (N, T, S), a new array
-    L[panel.mask] = 1.0
-    return L
+def _hmm_factors(codes: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Likelihood factors L[..., s] = p(y | H = s) under the (S, M) emissions
+    ``P`` for a grid of ``codes``, 1 on missing cells (code 0); a new array."""
+    return np.vstack([np.ones(len(P)), P.T])[codes]
 
 
 def _factors(panel: ObservationPanel, params: Params) -> np.ndarray:
@@ -44,7 +42,7 @@ def _factors(panel: ObservationPanel, params: Params) -> np.ndarray:
     Markov model, whose states are the observed levels, the identity
     emissions, i.e. indicators on the observed levels."""
     P = np.eye(params.m_levels) if params.P is None else params.P
-    return _hmm_factors(panel, P)
+    return _hmm_factors(panel.codes, P)
 
 
 def _filter_all(L: np.ndarray, Q: np.ndarray, pi: np.ndarray):
@@ -85,6 +83,40 @@ def _backward_smooth(L: np.ndarray, Q: np.ndarray, filtered: np.ndarray) -> np.n
         s_sum = s.sum(axis=1, keepdims=True)
         smoothed[:, t] = s / np.where(s_sum > 0, s_sum, 1.0)
     return smoothed
+
+
+def _expected_counts(labels: np.ndarray, A: np.ndarray, P: np.ndarray,
+                     pi: np.ndarray) -> tuple:
+    """Baum-Welch E-step of one homogeneous HMM pooled over subjects, run
+    time-major on the (T, N) ``labels`` (0 on missing cells): one S x S
+    matmul steps all subjects a day.  Returns the log-likelihood and the
+    expected transition (S, S), emission (S, M) and initial (S,) counts."""
+    S = len(A)
+    ones = np.ones(S)
+    L = _hmm_factors(labels, P)  # (T, N, S)
+    filtered = np.empty_like(L)
+    scaling = np.empty(labels.shape)
+    for t in range(len(L)):
+        f = (filtered[t - 1] @ A if t else pi) * L[t]
+        c = f @ ones
+        safe = np.where(c > 0, c, 1.0)
+        filtered[t] = f / safe[:, None]
+        scaling[t] = c
+    gamma = np.empty_like(L)  # the normalized β until it becomes γ
+    gamma[-1] = 1.0 / S
+    for t in range(len(L) - 1, 0, -1):
+        L[t] *= gamma[t]  # L[1:] becomes L β
+        w = L[t] @ A.T
+        gamma[t - 1] = w / (w @ ones)[:, None]
+    gamma *= filtered
+    norm = gamma @ ones
+    gamma /= norm[..., None]
+    # ξ[t] = filtered[t] ⊗ (L β)[t+1] * A / (c[t+1] Σ filtered[t+1] β[t+1])
+    filtered[:-1] /= (scaling[1:] * norm[1:])[..., None]
+    xi = A * (filtered[:-1].reshape(-1, S).T @ L[1:].reshape(-1, S))
+    emissions = np.array([np.bincount(labels.ravel(), gamma[..., s].ravel(),
+                                      P.shape[1] + 1)[1:] for s in range(S)])
+    return float(_log_scaling(scaling).sum()), xi, emissions, gamma[0].sum(axis=0)
 
 
 def _backward_sample_all(filtered: np.ndarray, Q: np.ndarray,
@@ -173,7 +205,7 @@ def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
 def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
                        params: Params) -> np.ndarray:
     """Exact p(H_it = s | Y_obs, theta), shape (N, T, S)."""
-    L = _hmm_factors(panel, params.P)
+    L = _hmm_factors(panel.codes, params.P)
     Q = transition_matrices(params, design)
     filtered, _ = _filter_all(L, Q, params.pi)
     return _backward_smooth(L, Q, filtered)
@@ -187,7 +219,7 @@ def viterbi(panel: ObservationPanel, design: DesignMatrix,
     Missing days contribute transition terms only.  Ties are broken toward
     the lower state index.
     """
-    L = _hmm_factors(panel, params.P)
+    L = _hmm_factors(panel.codes, params.P)
     Q = transition_matrices(params, design)
     N, T, S = L.shape
     with np.errstate(divide="ignore"):

@@ -196,8 +196,7 @@ def _em_start(S: int, M: int) -> tuple:
         anchor = 0 if S == 1 else round(s * (M - 1) / (S - 1))
         P[s, anchor] += 2.0
     P /= P.sum(axis=1, keepdims=True)
-    pi = np.full(S, 1.0 / S)
-    return A, P, pi
+    return A, P, np.full(S, 1.0 / S)
 
 
 def em_initialize(panel: ObservationPanel, S: int, tol: float = 1e-8,
@@ -210,46 +209,14 @@ def em_initialize(panel: ObservationPanel, S: int, tol: float = 1e-8,
     """
     if panel.n_subjects == 0 or panel.n_days == 0:
         raise InputError("cannot run EM on an empty panel")
-    M = panel.m_levels
-    obs = ~panel.mask
-    if S == 1:
-        counts = np.bincount(panel.codes[obs] - 1, minlength=M).astype(float)
-        total = counts.sum()
-        P = (counts / total if total > 0 else np.full(M, 1.0 / M))[None, :]
-        ll = float(np.sum(counts * np.log(np.clip(P[0], 1e-300, None))))
-        return EmFit(transition=np.ones((1, 1)), emissions=P,
-                     initial=np.ones(1), log_likelihoods=(ll,))
-    A, P, pi = _em_start(S, M)
-    N, T = panel.codes.shape
-    eye = np.eye(M)
-    obs_onehot = np.zeros((N, T, M))
-    obs_onehot[obs] = eye[panel.codes[obs] - 1]
+    A, P, pi = _em_start(S, panel.m_levels)
     lls = []
     for _ in range(max_iter):
-        L = inference._hmm_factors(panel, P)
-        Q = np.broadcast_to(A, (N, T - 1, S, S))
-        filtered, scaling = inference._filter_all(L, Q, pi)
-        ll = float(inference._log_scaling(scaling).sum())
+        ll, xi, emissions, initial = inference._expected_counts(panel.codes.T, A, P, pi)
         lls.append(ll)
-        # backward pass storing normalized b for gamma and xi
-        b = np.empty((N, T, S))
-        b[:, T - 1] = 1.0 / S
-        for t in range(T - 2, -1, -1):
-            w = np.einsum("rs,ns->nr", A, L[:, t + 1] * b[:, t + 1])
-            b[:, t] = w / w.sum(axis=1, keepdims=True)
-        gamma = filtered * b
-        gamma /= gamma.sum(axis=2, keepdims=True)
-        xi_sum = np.zeros((S, S))
-        for t in range(T - 1):
-            xi = filtered[:, t, :, None] * A[None] * (L[:, t + 1] * b[:, t + 1])[:, None, :]
-            xi /= xi.sum(axis=(1, 2), keepdims=True)
-            xi_sum += xi.sum(axis=0)
-        A = xi_sum / gamma[:, :-1].sum(axis=(0, 1))[:, None]
-        A /= A.sum(axis=1, keepdims=True)
-        num = np.einsum("nts,ntm->sm", gamma * obs[:, :, None], obs_onehot)
-        P = num / np.clip(num.sum(axis=1, keepdims=True), 1e-300, None)
-        pi = gamma[:, 0].mean(axis=0)
-        pi /= pi.sum()
+        A = xi / xi.sum(axis=1, keepdims=True)
+        P = emissions / np.clip(emissions.sum(axis=1, keepdims=True), 1e-300, None)
+        pi = initial / initial.sum()
         if len(lls) > 1 and lls[-1] - lls[-2] < tol:
             break
     return EmFit(transition=A, emissions=P, initial=pi, log_likelihoods=tuple(lls))

@@ -549,6 +549,18 @@ class TestErrorChannel:
     def test_unknown_option_exits_2(self):
         assert main(["fit", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--y", "{ws}/y.csv", "--x", "{ws}/x.csv", "--config", "{ws}"],
+        ["fit", "--y", "{ws}", "--x", "{ws}/x.csv"],
+        ["simulate", "--params", "{ws}", "--x", "{ws}/x.csv", "--days", "12"],
+    ], ids=["fit-config", "fit-y", "simulate-params"])
+    def test_directory_for_file_exits_2(self, workspace, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main([a.format(ws=workspace) for a in argv] + ["--out", str(out)])
+        assert code == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main([
             "fit", "--y", str(tmp_path / "absent.csv"),

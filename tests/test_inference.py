@@ -5,6 +5,7 @@ import pytest
 
 from panelhmm.dataset import DesignMatrix, ObservationPanel
 from panelhmm.inference import (
+    _expected_counts,
     _filter_all,
     _hmm_factors,
     ffbs_sample_hidden,
@@ -100,7 +101,7 @@ class TestSmoothing:
 
     def test_filtered_and_smoothed_are_distributions(self, rng):
         panel, design, params = random_instance(rng, n_subjects=3, n_days=8)
-        filtered, scaling = _filter_all(_hmm_factors(panel, params.P),
+        filtered, scaling = _filter_all(_hmm_factors(panel.codes, params.P),
                                         transition_matrices(params, design),
                                         params.pi)
         smoothed = smoothed_marginals(panel, design, params)
@@ -108,6 +109,42 @@ class TestSmoothing:
         np.testing.assert_allclose(smoothed.sum(axis=2), 1.0, atol=1e-12)
         assert np.log(scaling).sum() == pytest.approx(
             log_likelihood_hmm(panel, design, params))
+
+
+class TestExpectedCounts:
+    @pytest.mark.parametrize("S", [2, 3])
+    def test_matches_path_enumeration(self, S):
+        # [DERIVED] each expected count is a posterior average over all S^T
+        # hidden paths of one homogeneous HMM, summed over subjects
+        rng = np.random.default_rng(17)
+        N, T, M = 3, 5, 3
+        A = rng.dirichlet(np.ones(S), size=S)
+        P = rng.dirichlet(np.ones(M), size=S)
+        pi = rng.dirichlet(np.ones(S))
+        mask = np.zeros((N, T), dtype=bool)
+        mask[0, [1, 2]] = mask[1, 4] = True
+        mask[2] = True  # a subject with every day missing
+        codes = np.where(mask, 0, rng.integers(1, M + 1, size=(N, T)))
+        ll, xi, emissions, initial = _expected_counts(
+            np.ascontiguousarray(codes.T), A, P, pi)
+        paths = np.array(list(itertools.product(range(S), repeat=T)))
+        want_ll, want_xi = 0.0, np.zeros((S, S))
+        want_em, want_init = np.zeros((S, M)), np.zeros(S)
+        for i in range(N):
+            w = pi[paths[:, 0]] * A[paths[:, :-1], paths[:, 1:]].prod(axis=1)
+            for t in np.flatnonzero(~mask[i]):
+                w = w * P[paths[:, t], codes[i, t] - 1]
+            want_ll += np.log(w.sum())
+            w = w / w.sum()
+            np.add.at(want_init, paths[:, 0], w)
+            for t in range(T - 1):
+                np.add.at(want_xi, (paths[:, t], paths[:, t + 1]), w)
+            for t in np.flatnonzero(~mask[i]):
+                np.add.at(want_em, (paths[:, t], codes[i, t] - 1), w)
+        assert abs(ll - want_ll) <= 1e-12
+        np.testing.assert_allclose(xi, want_xi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(emissions, want_em, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(initial, want_init, rtol=0, atol=1e-12)
 
 
 class TestViterbi:

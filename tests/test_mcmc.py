@@ -33,6 +33,7 @@ from panelhmm.mcmc import (
 from panelhmm.inference import log_likelihood_hmm, log_likelihood_markov
 from panelhmm.model import (
     Params,
+    inverse_softmax,
     softmax_rows,
     transition_logits,
     transition_matrices,
@@ -457,6 +458,34 @@ class TestEmInitialize:
         diag = fit.emissions[order].diagonal()
         assert sorted(fit.emissions.argmax(axis=1)) == [0, 1, 2]
         assert np.all(diag > 0.7)
+
+    def test_first_log_likelihood_scores_the_start(self, rng):
+        # the first E-step scores the homogeneous start, which the
+        # likelihood layer writes as rows inverse_softmax(A) and beta = 0
+        codes = np.array([[1, 3, 0, 2, 2], [3, 0, 0, 1, 3], [0, 0, 0, 0, 0]])
+        panel = ObservationPanel(codes=codes, mask=codes == 0)
+        A, P, pi = mcmc._em_start(2, 3)
+        mu = np.stack([inverse_softmax(row) for row in A])
+        start = Params(alpha=np.repeat(mu[None], 3, axis=0),
+                       beta=np.zeros((2, 1, 2)), mu=mu, sigma=np.ones((2, 1)),
+                       pi=pi, P=P)
+        fit = em_initialize(panel, S=2, max_iter=1)
+        assert len(fit.log_likelihoods) == 1
+        assert fit.log_likelihoods[0] == pytest.approx(
+            log_likelihood_hmm(panel, random_design(3, 5, rng), start),
+            rel=1e-12, abs=0)
+
+    def test_unseen_level_gets_zero_emission(self, rng):
+        # level 2 is on the scale but in no cell, so the first M-step zeroes
+        # its column of P in every state; EM must stay finite and monotone
+        panel, _, _ = random_instance(rng, n_subjects=8, n_days=30,
+                                      missing_rate=0.2)
+        codes = np.where(panel.codes == 2, 3, panel.codes)
+        fit = em_initialize(ObservationPanel(codes=codes, mask=panel.mask), S=3)
+        np.testing.assert_array_equal(fit.emissions[:, 1], 0.0)
+        for values in (fit.transition, fit.emissions, fit.initial):
+            assert np.all(np.isfinite(values))
+        assert np.all(np.diff(fit.log_likelihoods) >= -1e-9)
 
     def test_single_state_closed_form(self, rng):
         panel, _, _ = random_instance(rng, n_subjects=5, n_days=20,

@@ -177,7 +177,7 @@ class TestTransitions:
         # P(Y = 3 | H = 2) is P[1, 2]: states and levels are 1-based
         params = random_hmm_params(1, 3, 3, 2, rng)
         panel = ObservationPanel(codes=np.array([[3]]), mask=np.array([[False]]))
-        assert _hmm_factors(panel, params.P)[0, 0, 1] == params.P[1, 2]
+        assert _hmm_factors(panel.codes, params.P)[0, 0, 1] == params.P[1, 2]
 
 
 class TestSimulation:
