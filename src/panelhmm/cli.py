@@ -24,25 +24,25 @@ from .errors import InputError, NumericalError, PanelHmmError
 
 SCHEMA_COMMENT = f"# schema-version: {storage.SCHEMA_VERSION}"
 INPUT_FILE = click.Path(exists=True, dir_okay=False)  # a directory exits 2
+OUTPUT_DIR = click.Path(file_okay=False)  # an existing file exits 2
 
 
-def _apply_config(ctx, path) -> set:
+def _apply_config(ctx, path) -> None:
     """Apply a ``key = value`` config file to the options the user left at
-    their defaults, and return the names of the options it set.
+    their defaults.
 
     Keys are flag names without the leading dashes, with dashes or
-    underscores (``model``, ``step-alpha``); the input, output and config
+    underscores (``model``, ``missing-token``); the input, output and config
     paths are flags only.  Values are checked as the flag's would be.  A
     line that is not ``key = value``, an unknown key or a bad value is an
     input error naming the file, line and key.
     """
     if path is None:
-        return set()
+        return
     options = {opt.lstrip("-").replace("-", "_"): param
                for param in ctx.command.params
                if param.name not in ("y_path", "x_path", "config_path", "out_dir")
                for opt in param.opts}
-    applied = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -62,8 +62,6 @@ def _apply_config(ctx, path) -> set:
                                  f"{exc.message}") from None
             if ctx.get_parameter_source(param.name).name == "DEFAULT":
                 ctx.params[param.name] = value
-                applied.add(param.name)
-    return applied
 
 
 def _load_data(y_path, x_path, missing_token):
@@ -91,23 +89,33 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _load_fit(fit_dir, n_subjects, n_days=None):
-    """The stored fit and its panel length; rejects inputs with another
-    subject count, or another day count when ``n_days`` is given."""
-    chain_set = storage.load_chain_set(fit_dir)
-    manifest = os.path.join(fit_dir, storage.MANIFEST_FILE)
+def _fit_record(fit_dir, **inputs) -> dict:
+    """The panel length and missing token that the fit in ``fit_dir``
+    recorded, after checking that each input file (``y=``, ``x=``) is byte
+    for byte the one the fit read."""
+    path = os.path.join(fit_dir, storage.MANIFEST_FILE)
     try:
-        with open(manifest, "r", encoding="utf-8") as fh:
-            fit_days = int(json.load(fh)["config"]["days"])
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        config = manifest["config"]
+        record = {"days": int(config["days"]),
+                  "missing_token": str(config["missing_token"])}
+        hashes = {name: manifest["inputs"][name]["sha256"] for name in inputs}
     except (OSError, ValueError, KeyError, TypeError):
-        raise InputError(f"{manifest}: no panel length; re-fit") from None
-    fit_subjects = chain_set.chains[0].draws["alpha"].shape[1]
-    if n_subjects != fit_subjects:
-        raise InputError(f"{n_subjects} subjects given; the fit in {fit_dir} "
-                         f"has {fit_subjects}")
-    if n_days is not None and n_days != fit_days:
-        raise InputError(f"{n_days} days given; the fit in {fit_dir} has {fit_days}")
-    return chain_set, fit_days
+        raise InputError(f"{path}: not a fit's run manifest; re-fit") from None
+    for name, input_path in inputs.items():
+        if storage.file_sha256(input_path) != hashes[name]:
+            raise InputError(f"--{name} {input_path} is not the file the fit "
+                             f"in {fit_dir} read")
+    return record
+
+
+def _load_fit(fit_dir, y_path, x_path):
+    """The stored fit, the panel and design it was fitted to, and the
+    missing token that panel was read with."""
+    record = _fit_record(fit_dir, y=y_path, x=x_path)
+    panel, design = _load_data(y_path, x_path, record["missing_token"])
+    return storage.load_chain_set(fit_dir), panel, design, record["missing_token"]
 
 
 @click.group()
@@ -120,44 +128,41 @@ def cli():
 @click.option("--x", "x_path", required=True, type=INPUT_FILE)
 @click.option("--model", "model_kind", type=click.Choice(["hmm", "markov"]),
               default="hmm", show_default=True)
-@click.option("--states", type=int, default=3, show_default=True)
+@click.option("--states", type=click.IntRange(min=1), default=None,
+              help="Hidden states of an HMM; defaults to the number of "
+                   "observed levels.")
 @click.option("--chains", type=int, default=3, show_default=True)
 @click.option("--burnin", type=int, default=10_000, show_default=True)
 @click.option("--keep", type=int, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--step-alpha", type=float, default=0.4, show_default=True)
-@click.option("--step-beta", type=float, default=0.1, show_default=True)
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--config", "config_path", type=INPUT_FILE, default=None)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
 @click.pass_context
 def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
-        step_alpha, step_beta, missing_token, config_path, out_dir):
+        missing_token, config_path, out_dir):
     """Run the MCMC sampler and persist posterior samples."""
-    from_config = _apply_config(ctx, config_path)
+    _apply_config(ctx, config_path)
     p = ctx.params
     panel, design = _load_data(y_path, x_path, p["missing_token"])
-    states_given = (ctx.get_parameter_source("states").name != "DEFAULT"
-                    or "states" in from_config)
-    if p["model_kind"] == "markov" and states_given and p["states"] != panel.m_levels:
+    if p["model_kind"] == "markov" and p["states"] not in (None, panel.m_levels):
         raise InputError(
             f"--states {p['states']}: a Markov model's states are the "
             f"{panel.m_levels} observed levels"
         )
+    n_states = panel.m_levels if p["states"] is None else p["states"]
     sampler_config = mcmc.SamplerConfig(
         n_chains=p["chains"], n_burnin=p["burnin"], n_keep=p["keep"],
-        rw_step_alpha=p["step_alpha"], rw_step_beta=p["step_beta"],
         seed=p["seed"],
     )
+    os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before sampling
     chain_set = mcmc.run_chains(p["model_kind"], panel, design,
-                                config=sampler_config, n_states=p["states"])
-    os.makedirs(out_dir, exist_ok=True)
+                                config=sampler_config, n_states=n_states)
     storage.save_chain_set(out_dir, chain_set)
     storage.write_manifest(
         out_dir, "fit",
-        {"model": p["model_kind"], "states": p["states"], "chains": p["chains"],
+        {"model": p["model_kind"], "states": n_states, "chains": p["chains"],
          "burnin": p["burnin"], "keep": p["keep"], "days": panel.n_days,
-         "step_alpha": p["step_alpha"], "step_beta": p["step_beta"],
          "missing_token": p["missing_token"]},
         {"y": y_path, "x": x_path}, p["seed"],
     )
@@ -173,7 +178,7 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
 @click.option("--mask-from", "mask_path", type=INPUT_FILE, default=None)
 @click.option("--missing-token", default="NA", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
 def simulate(params_path, x_path, days, subjects, mask_path, missing_token,
              seed, out_dir):
     """Simulate a panel from serialized parameters."""
@@ -203,13 +208,11 @@ def simulate(params_path, x_path, days, subjects, mask_path, missing_token,
 @click.option("--fit", "fit_dir", required=True, type=click.Path(exists=True))
 @click.option("--y", "y_path", required=True, type=INPUT_FILE)
 @click.option("--x", "x_path", required=True, type=INPUT_FILE)
-@click.option("--missing-token", default="NA", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
-def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
+@click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
+def diagnose(fit_dir, y_path, x_path, out_dir):
     """Convergence summaries (R-hat, ESS, quantiles), acceptance rates and
     the DIC report."""
-    panel, design = _load_data(y_path, x_path, missing_token)
-    chain_set, _ = _load_fit(fit_dir, panel.n_subjects, panel.n_days)
+    chain_set, panel, design, _ = _load_fit(fit_dir, y_path, x_path)
     rows = diagnostics.scalar_summaries(chain_set)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
@@ -247,13 +250,11 @@ def diagnose(fit_dir, y_path, x_path, missing_token, out_dir):
               default="new-subjects", show_default=True)
 @click.option("--draws", type=click.IntRange(min=1), default=None,
               help="Subsample this many posterior draws (evenly spaced).")
-@click.option("--missing-token", default="NA", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
-def ppc(fit_dir, y_path, x_path, mode, draws, missing_token, seed, out_dir):
+@click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
+def ppc(fit_dir, y_path, x_path, mode, draws, seed, out_dir):
     """Posterior predictive checks of drinking-pattern statistics."""
-    panel, design = _load_data(y_path, x_path, missing_token)
-    chain_set, _ = _load_fit(fit_dir, panel.n_subjects, panel.n_days)
+    chain_set, panel, design, _ = _load_fit(fit_dir, y_path, x_path)
     total = chain_set.n_chains * chain_set.n_kept
     indices = None
     if draws is not None:
@@ -289,12 +290,14 @@ def ppc(fit_dir, y_path, x_path, mode, draws, missing_token, seed, out_dir):
                    "defaults to the fit's, and another value is an error.")
 @click.option("--kind", type=click.Choice(["transition", "stationary"]),
               default="transition", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
 def apc(fit_dir, x_path, days, kind, out_dir):
     """Average predictive comparisons for every covariate and target."""
-    raw = load_covariates(x_path)
-    chain_set, days = _load_fit(fit_dir, raw.n_subjects, days)
-    design = build_design(raw, days)
+    fit_days = _fit_record(fit_dir, x=x_path)["days"]
+    if days not in (None, fit_days):
+        raise InputError(f"{days} days given; the fit in {fit_dir} has {fit_days}")
+    chain_set = storage.load_chain_set(fit_dir)
+    design = build_design(load_covariates(x_path), fit_days)
     if kind == "transition":
         compare, pattern = analytics.average_transition_difference, "B[{}->{}]({})"
         covariates = design.names
@@ -320,7 +323,7 @@ def apc(fit_dir, x_path, days, kind, out_dir):
                ["comparison", "draw", "value"], draws_rows)
     _write_csv(os.path.join(out_dir, "apc_summary.csv"),
                ["comparison", "mean", "q025", "q975"], summary_rows)
-    storage.write_manifest(out_dir, "apc", {"kind": kind, "days": days},
+    storage.write_manifest(out_dir, "apc", {"kind": kind, "days": fit_days},
                            {"x": x_path}, None)
     click.echo(f"{len(summary_rows)} comparisons written to {out_dir}")
 
@@ -329,12 +332,10 @@ def apc(fit_dir, x_path, days, kind, out_dir):
 @click.option("--fit", "fit_dir", required=True, type=click.Path(exists=True))
 @click.option("--y", "y_path", required=True, type=INPUT_FILE)
 @click.option("--x", "x_path", required=True, type=INPUT_FILE)
-@click.option("--missing-token", default="NA", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
-def viterbi(fit_dir, y_path, x_path, missing_token, out_dir):
+@click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
+def viterbi(fit_dir, y_path, x_path, out_dir):
     """Decode hidden states at the posterior-mean parameters."""
-    panel, design = _load_data(y_path, x_path, missing_token)
-    chain_set, _ = _load_fit(fit_dir, panel.n_subjects, panel.n_days)
+    chain_set, panel, design, missing_token = _load_fit(fit_dir, y_path, x_path)
     if chain_set.model_kind != "hmm":
         raise InputError("viterbi decoding requires an HMM fit")
     params = chain_set.posterior_mean_params()
@@ -368,7 +369,8 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         return 2
-    except (InputError, FileNotFoundError, PermissionError) as exc:
+    except (InputError, FileNotFoundError, PermissionError, FileExistsError,
+            NotADirectoryError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return 2
     except NumericalError as exc:

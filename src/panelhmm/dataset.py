@@ -125,7 +125,6 @@ class Standardization:
     name: str
     mean: float
     scale: float
-    sd_convention: str = "population"
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ those caches, and ``adopt`` keeps them in step with the parameters.
 
 Sigma prior note: the default prior is flat on sigma (not sigma^2).  With
 n intercepts and sum of squares SS around mu, the induced full
-conditional is sigma^2 ~ SS / chi^2_{n-1}; flat-on-sigma^2 gives n-2
-degrees of freedom, and a proper scaled-inverse-chi-squared(nu0, s0^2)
-prior gives nu0 + n degrees of freedom with scale sum nu0*s0^2 + SS.
-All three run through the same draw.
+conditional is sigma^2 ~ SS / chi^2_{n-1}; a proper
+scaled-inverse-chi-squared(nu0, s0^2) prior gives nu0 + n degrees of
+freedom with scale sum nu0*s0^2 + SS.  Both run through the same draw.
 """
 
 from __future__ import annotations
@@ -38,17 +37,19 @@ from .errors import InputError, NumericalError
 from .model import Params, inverse_softmax
 
 TARGET_ACCEPTANCE = 0.44  # optimal for univariate random-walk proposals
+START_STEPS = {"alpha": 0.4, "beta": 0.1}  # random-walk sds before adaptation
 _ADAPT_BATCH = 50
+_DIRICHLET = 1.0  # uniform Dirichlet prior on pi and the emission rows
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """Prior hyperparameters.
 
-    ``sigma_prior`` is one of ``"flat-sigma"`` (default), ``"flat-sigma-sq"``,
-    or ``"inv-chisq"``; the latter requires ``sigma_nu0`` and
-    ``sigma_s0sq`` and is the only proper choice (used by sampler
-    validation, which needs to draw from the prior).
+    ``sigma_prior`` is ``"flat-sigma"`` (default) or ``"inv-chisq"``; the
+    latter requires ``sigma_nu0`` and ``sigma_s0sq`` and is the proper
+    choice (used by sampler validation, which needs to draw from the
+    prior).
     """
 
     beta_sd: float = 10.0
@@ -56,12 +57,11 @@ class PriorSpec:
     sigma_prior: str = "flat-sigma"
     sigma_nu0: float | None = None
     sigma_s0sq: float | None = None
-    dirichlet_concentration: float = 1.0
 
     def __post_init__(self):
-        if self.beta_sd <= 0 or self.mu_sd <= 0 or self.dirichlet_concentration <= 0:
+        if self.beta_sd <= 0 or self.mu_sd <= 0:
             raise InputError("prior scales must be positive")
-        if self.sigma_prior not in ("flat-sigma", "flat-sigma-sq", "inv-chisq"):
+        if self.sigma_prior not in ("flat-sigma", "inv-chisq"):
             raise InputError(f"unknown sigma prior {self.sigma_prior!r}")
         if self.sigma_prior == "inv-chisq":
             if not (self.sigma_nu0 and self.sigma_nu0 > 0
@@ -72,8 +72,6 @@ class PriorSpec:
         """(degrees of freedom, scale sum) of the sigma^2 full conditional."""
         if self.sigma_prior == "flat-sigma":
             nu, scale_sum = n - 1, ss
-        elif self.sigma_prior == "flat-sigma-sq":
-            nu, scale_sum = n - 2, ss
         else:
             nu, scale_sum = self.sigma_nu0 + n, self.sigma_nu0 * self.sigma_s0sq + ss
         if nu < 1:
@@ -89,16 +87,11 @@ class SamplerConfig:
     n_chains: int = 3
     n_burnin: int = 10_000
     n_keep: int = 10_000
-    rw_step_alpha: float = 0.4
-    rw_step_beta: float = 0.1
-    jitter_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.n_chains < 1 or self.n_keep < 1 or self.n_burnin < 0:
             raise InputError("chain and iteration counts must be positive")
-        if self.rw_step_alpha <= 0 or self.rw_step_beta <= 0:
-            raise InputError("random-walk step sizes must be positive")
 
 
 @dataclass
@@ -419,8 +412,6 @@ def _log_prior_sigma(prior: PriorSpec, sigma: float) -> float:
     """Unnormalized log prior density on the sigma scale."""
     if prior.sigma_prior == "flat-sigma":
         return 0.0
-    if prior.sigma_prior == "flat-sigma-sq":
-        return float(np.log(sigma))
     return float(-(prior.sigma_nu0 + 1.0) * np.log(sigma)
                  - prior.sigma_nu0 * prior.sigma_s0sq / (2.0 * sigma ** 2))
 
@@ -481,7 +472,7 @@ def update_pi(params, first_values: np.ndarray, prior: PriorSpec,
     """Dirichlet draw of the initial distribution from day-1 counts."""
     R = params.pi.size
     counts = np.bincount(np.asarray(first_values, dtype=np.int64) - 1, minlength=R)
-    params.pi[...] = rng.dirichlet(prior.dirichlet_concentration + counts)
+    params.pi[...] = rng.dirichlet(_DIRICHLET + counts)
 
 
 def update_emissions(params: Params, hidden: np.ndarray,
@@ -494,7 +485,7 @@ def update_emissions(params: Params, hidden: np.ndarray,
     counts = np.zeros((S, M))
     np.add.at(counts, (hidden[obs] - 1, panel.codes[obs] - 1), 1.0)
     for s in range(S):
-        params.P[s] = rng.dirichlet(prior.dirichlet_concentration + counts[s])
+        params.P[s] = rng.dirichlet(_DIRICHLET + counts[s])
 
 
 def sample_missing_y(params: Params, panel: ObservationPanel,
@@ -508,22 +499,22 @@ def sample_missing_y(params: Params, panel: ObservationPanel,
 # -- chain orchestration ----------------------------------------------------
 
 def _sweep(params, panel: ObservationPanel, design: DesignMatrix,
-           prior: PriorSpec, rng: np.random.Generator, steps_alpha,
-           steps_beta) -> tuple:
+           prior: PriorSpec, rng: np.random.Generator, steps: dict) -> tuple:
     """One Metropolis-within-Gibbs sweep, updating ``params`` in place.
 
     The data step draws the complete grid and returns its transition
     logits; the row caches are gathered from those logits once and shared
     by the four Metropolis moves, whose adopted shifts keep them in step
     with ``params`` (the mu and sigma draws leave the logits unchanged).
-    Returns the log-likelihood of the parameters the sweep started from
-    and the alpha and beta acceptance of :func:`update_alpha` and
-    :func:`update_beta`.
+    ``steps`` holds the proposal sds of :func:`update_alpha` and
+    :func:`update_beta`, keyed ``"alpha"`` and ``"beta"``.  Returns the
+    log-likelihood of the parameters the sweep started from and the two
+    moves' acceptance, keyed the same way.
     """
     seq, loglik, eta = inference._draw_with_log_likelihood(panel, design, params, rng)
     rows = _row_caches(seq, design, eta)
-    acc_a = update_alpha(params, rows, prior, rng, steps_alpha)
-    acc_b = update_beta(params, rows, prior, rng, steps_beta)
+    acc = {"alpha": update_alpha(params, rows, prior, rng, steps["alpha"]),
+           "beta": update_beta(params, rows, prior, rng, steps["beta"])}
     update_mu(params, prior, rng)
     update_sigma(params, prior, rng)
     update_scale_joint(params, rows, prior, rng)
@@ -531,7 +522,7 @@ def _sweep(params, panel: ObservationPanel, design: DesignMatrix,
     if params.P is not None:
         update_emissions(params, seq, panel, prior, rng)
     update_pi(params, seq[:, 0], prior, rng)
-    return loglik, acc_a, acc_b
+    return loglik, acc
 
 
 def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
@@ -545,42 +536,37 @@ def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
     builds with :func:`init_chain`.  Each kept draw's deviance comes from
     the next sweep's forward filter, which runs on exactly that draw's
     parameters; only the last kept draw needs a likelihood pass of its own.
+    Every burn-in batch moves each proposal sd toward
+    ``TARGET_ACCEPTANCE``, from ``START_STEPS``.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, chain_index)))
     params = init_params.copy()
-    R, K, p = params.beta.shape
-    steps_alpha = np.full((R, K), config.rw_step_alpha)
-    steps_beta = np.full((R, K, p), config.rw_step_beta)
-    acc_alpha_batch = np.zeros((R, K))
-    acc_beta_batch = np.zeros((R, K, p))
-    acc_alpha_kept = np.zeros((R, K))
-    acc_beta_kept = np.zeros((R, K, p))
+    shapes = {"alpha": params.mu.shape, "beta": params.beta.shape}
+    steps = {move: np.full(shape, START_STEPS[move]) for move, shape in shapes.items()}
+    batch = {move: np.zeros(shape) for move, shape in shapes.items()}
+    acceptance = {move: np.zeros(shape) for move, shape in shapes.items()}
     n_total = config.n_burnin + config.n_keep
     kept = {name: [] for name, a in vars(params).items() if a is not None}
     deviance = np.zeros(config.n_keep)
     adapt_round = 0
     for g in range(n_total):
-        loglik, acc_a, acc_b = _sweep(params, panel, design, prior, rng,
-                                      steps_alpha, steps_beta)
+        loglik, acc = _sweep(params, panel, design, prior, rng, steps)
         if g > config.n_burnin:  # the sweep started from kept draw g - 1
             deviance[g - 1 - config.n_burnin] = -2.0 * loglik
         if g < config.n_burnin:
-            acc_alpha_batch += acc_a
-            acc_beta_batch += acc_b
+            for move in batch:
+                batch[move] += acc[move]
             if (g + 1) % _ADAPT_BATCH == 0:
                 adapt_round += 1
                 gain = 1.0 / np.sqrt(adapt_round)
-                steps_alpha *= np.exp(gain * (acc_alpha_batch / _ADAPT_BATCH
-                                              - TARGET_ACCEPTANCE))
-                steps_beta *= np.exp(gain * (acc_beta_batch / _ADAPT_BATCH
-                                             - TARGET_ACCEPTANCE))
-                np.clip(steps_alpha, 1e-3, 50.0, out=steps_alpha)
-                np.clip(steps_beta, 1e-3, 50.0, out=steps_beta)
-                acc_alpha_batch[...] = 0.0
-                acc_beta_batch[...] = 0.0
+                for move, step in steps.items():
+                    step *= np.exp(gain * (batch[move] / _ADAPT_BATCH
+                                           - TARGET_ACCEPTANCE))
+                    np.clip(step, 1e-3, 50.0, out=step)
+                    batch[move][...] = 0.0
         else:
-            acc_alpha_kept += acc_a
-            acc_beta_kept += acc_b
+            for move in acceptance:
+                acceptance[move] += acc[move]
             for name in kept:
                 kept[name].append(getattr(params, name).copy())
     deviance[-1] = diagnostics.deviance(panel, design, params)
@@ -588,10 +574,7 @@ def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
         chain_index=chain_index,
         draws={name: np.stack(values) for name, values in kept.items()},
         deviance=deviance,
-        acceptance={
-            "alpha": acc_alpha_kept / config.n_keep,
-            "beta": acc_beta_kept / config.n_keep,
-        },
+        acceptance={move: total / config.n_keep for move, total in acceptance.items()},
     )
 
 
@@ -624,7 +607,7 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     else:
         raise InputError(f"unknown model kind {model_kind!r}")
     starts = [init_chain(anchor, panel.n_subjects, design.p, chain_index=c,
-                         jitter_scale=config.jitter_scale, seed=config.seed)
+                         seed=config.seed)
               for c in range(config.n_chains)]
     run = functools.partial(run_chain, panel, design, prior, config)
     indices = range(config.n_chains)
@@ -664,10 +647,9 @@ def sample_params_from_prior(prior: PriorSpec, n_subjects: int, n_rows: int,
     mu = prior.mu_sd * rng.standard_normal((R, K))
     alpha = mu[None] + sigma[None] * rng.standard_normal((n_subjects, R, K))
     beta = prior.beta_sd * rng.standard_normal((R, K, n_covariates))
-    conc = np.full(R, prior.dirichlet_concentration)
-    pi = rng.dirichlet(conc)
+    pi = rng.dirichlet(np.full(R, _DIRICHLET))
     P = None
     if model_kind == "hmm":
-        P = np.stack([rng.dirichlet(np.full(m_levels, prior.dirichlet_concentration))
+        P = np.stack([rng.dirichlet(np.full(m_levels, _DIRICHLET))
                       for _ in range(R)])
     return Params(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)

@@ -237,8 +237,8 @@ def test_criterion_05_joint_distribution_validation():
                            seed=int(rng.integers(2 ** 63)))
         panel = sim.observed
         mcmc._sweep(params, panel, design, prior, rng,
-                    steps_alpha=np.full((S, S - 1), 1.2),
-                    steps_beta=np.full((S, S - 1, p), 0.8))
+                    {"alpha": np.full((S, S - 1), 1.2),
+                     "beta": np.full((S, S - 1, p), 0.8)})
         if sweep >= burn:
             records["mu"].append(params.mu[0, 0])
             records["beta"].append(params.beta[0, 0, 0])

@@ -167,6 +167,15 @@ class TestStationaryDistribution:
         for idx in np.ndindex(4, 6):
             np.testing.assert_array_equal(pi[idx], stationary_distribution(Q[idx]))
 
+    def test_solve_off_the_fixed_point_rejected(self, monkeypatch):
+        # a solve whose answer is a distribution but not stationary must be
+        # caught by the residual check, not clipped and returned
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, b: solve(A, b) + [[1e-6], [-1e-6]])
+        with pytest.raises(NumericalError, match="residual"):
+            stationary_distribution(np.array([[0.7, 0.3], [0.1, 0.9]]))
+
     def test_stack_with_reducible_and_periodic_rejected(self, rng):
         Q = rng.dirichlet(np.ones(2), size=(5, 2))
         Q[1] = np.eye(2)

@@ -105,8 +105,9 @@ class TestFit:
 
     def test_config_keys_are_flag_names(self, workspace, tmp_path):
         cfg = tmp_path / "run.cfg"
+        # both spellings of a two-word key; the later line wins
         cfg.write_text("model = markov\nchains = 1\nburnin = 2\nkeep = 2\n"
-                       "step-alpha = 0.3\nmissing_token = NA\n")
+                       "missing_token = NA\nmissing-token = na\n")
         out = tmp_path / "fit"
         code = main([
             "fit", "--y", str(workspace / "y.csv"),
@@ -116,7 +117,7 @@ class TestFit:
         assert code == 0
         config = json.loads((out / "run_manifest.json").read_text())["config"]
         assert config["model"] == "markov"
-        assert config["step_alpha"] == 0.3
+        assert config["missing_token"] == "na"
         assert storage.load_chain_set(out).model_kind == "markov"
 
     @pytest.mark.parametrize("line, problem", [
@@ -125,7 +126,9 @@ class TestFit:
         ("model_kind = markov", "unknown key 'model_kind'"),
         ("chains = abc", "bad value for 'chains'"),
         ("model = semi-markov", "bad value for 'model'"),
-    ], ids=["misspelt", "path-flag", "dest-name", "not-an-int", "not-a-choice"])
+        ("step-alpha = 0.3", "unknown key 'step-alpha'"),
+    ], ids=["misspelt", "path-flag", "dest-name", "not-an-int", "not-a-choice",
+            "removed-step"])
     def test_config_unknown_key_or_bad_value_exits_2(self, workspace, tmp_path,
                                                      capsys, line, problem):
         # even where a flag overrides the key, the line is an error
@@ -484,6 +487,54 @@ class TestInputsMatchFit:
         assert (tmp_path / "c" / "apc_draws.csv").read_bytes() == \
             (tmp_path / "d" / "apc_draws.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["diagnose", "ppc", "viterbi"])
+    def test_changed_cell_exits_2(self, workspace, fitted, tmp_path, capsys,
+                                  command):
+        # same shape, one cell different: not the panel the fit saw
+        rows = [r.split(",") for r in (workspace / "y.csv").read_text().splitlines()]
+        rows[2][4] = "1" if rows[2][4] != "1" else "2"
+        y = tmp_path / "y.csv"
+        y.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--fit", str(fitted), "--y", str(y),
+                     "--x", str(workspace / "x.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(y) in err and str(fitted) in err
+        assert not out.exists()
+
+    def test_apc_changed_covariate_exits_2(self, workspace, fitted, tmp_path):
+        header, first, *rest = (workspace / "x.csv").read_text().splitlines()
+        cells = first.split(",")
+        cells[2] = f"{float(cells[2]) + 0.01:.4f}"
+        x = tmp_path / "x.csv"
+        x.write_text("\n".join([header, ",".join(cells)] + rest) + "\n")
+        out = tmp_path / "apc"
+        assert main(["apc", "--fit", str(fitted), "--x", str(x),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_identical_copy_accepted(self, workspace, fitted, tmp_path):
+        y = tmp_path / "copy_of_y.csv"
+        y.write_bytes((workspace / "y.csv").read_bytes())
+        assert main(["diagnose", "--fit", str(fitted), "--y", str(y),
+                     "--x", str(workspace / "x.csv"),
+                     "--out", str(tmp_path / "diag")]) == 0
+
+    def test_missing_token_comes_from_the_fit(self, workspace, tmp_path):
+        y = tmp_path / "y.csv"
+        y.write_text((workspace / "y.csv").read_text().replace("NA", "."))
+        x, fit = str(workspace / "x.csv"), tmp_path / "fit"
+        assert main(["fit", "--y", str(y), "--x", x, "--missing-token", ".",
+                     "--chains", "1", "--burnin", "2", "--keep", "2",
+                     "--out", str(fit)]) == 0
+        out = tmp_path / "vit"
+        assert main(["viterbi", "--fit", str(fit), "--y", str(y), "--x", x,
+                     "--out", str(out)]) == 0
+        observed = [l.split(",")[2] for l in
+                    (out / "viterbi.csv").read_text().splitlines()[2:]]
+        assert observed.count(".") == int(load_observations(workspace / "y.csv").mask.sum())
+        assert "NA" not in observed
+
 
 class TestSimulate:
     def test_panel_written(self, workspace, tmp_path):
@@ -560,6 +611,37 @@ class TestErrorChannel:
         assert code == 2
         assert "is a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--y", "{ws}/y.csv", "--x", "{ws}/x.csv", "--step-alpha", "0.3"],
+        ["diagnose", "--fit", "{fit}", "--y", "{ws}/y.csv", "--x", "{ws}/x.csv",
+         "--missing-token", "NA"],
+    ], ids=["fit-step-alpha", "diagnose-missing-token"])
+    def test_removed_flag_exits_2(self, workspace, fitted, tmp_path, capsys, argv):
+        # the sampler adapts its steps; post-fit commands read the fit's token
+        out = tmp_path / "out"
+        code = main([a.format(ws=workspace, fit=fitted) for a in argv]
+                    + ["--out", str(out)])
+        assert code == 2
+        assert "No such option" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, out", [
+        ("fit", "file"), ("fit", "file/sub"), ("diagnose", "file"),
+    ], ids=["fit-file", "fit-below-file", "diagnose-file"])
+    def test_out_not_a_directory_exits_2(self, workspace, fitted, tmp_path,
+                                         monkeypatch, command, out):
+        # an unusable --out is found before any sampling, not after it
+        sampled = []
+        monkeypatch.setattr(cli.mcmc, "run_chains",
+                            lambda *args, **kwargs: sampled.append(1))
+        (tmp_path / "file").write_text("not a directory\n")
+        inputs = ["--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv")]
+        argv = {"fit": ["fit"] + inputs + ["--burnin", "2", "--keep", "2"],
+                "diagnose": ["diagnose", "--fit", str(fitted)] + inputs}[command]
+        assert main(argv + ["--out", str(tmp_path / out)]) == 2
+        assert sampled == []
+        assert (tmp_path / "file").read_text() == "not a directory\n"
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main([

@@ -58,8 +58,6 @@ def row_caches(params, seq, design):
 class TestPriorSpec:
     def test_sigma_conditional_degrees_of_freedom(self):
         assert PriorSpec().sigma_conditional(5, 2.0) == (4, 2.0)
-        assert PriorSpec(sigma_prior="flat-sigma-sq").sigma_conditional(5, 2.0) \
-            == (3, 2.0)
         prior = PriorSpec(sigma_prior="inv-chisq", sigma_nu0=3.0, sigma_s0sq=1.5)
         nu, scale = prior.sigma_conditional(5, 2.0)
         assert nu == 8.0
@@ -68,14 +66,14 @@ class TestPriorSpec:
     def test_too_few_subjects_rejected(self):
         with pytest.raises(InputError):
             PriorSpec().sigma_conditional(1, 0.5)
-        with pytest.raises(InputError):
-            PriorSpec(sigma_prior="flat-sigma-sq").sigma_conditional(2, 0.5)
 
     def test_validation(self):
         with pytest.raises(InputError):
             PriorSpec(beta_sd=0.0)
         with pytest.raises(InputError):
             PriorSpec(sigma_prior="jeffreys")
+        with pytest.raises(InputError):
+            PriorSpec(sigma_prior="flat-sigma-sq")
         with pytest.raises(InputError):
             PriorSpec(sigma_prior="inv-chisq")
 
@@ -351,7 +349,7 @@ class TestRowCache:
                             lambda *args: built.append(args[-1]) or row_data(*args))
         R, K, p = params.beta.shape
         mcmc._sweep(params, panel, design, PriorSpec(), rng,
-                    np.full((R, K), 0.4), np.full((R, K, p), 0.1))
+                    {"alpha": np.full((R, K), 0.4), "beta": np.full((R, K, p), 0.1)})
         assert built == [1, 2, 3]
 
 
@@ -646,7 +644,7 @@ def _start(model_kind, panel, design, config, chain_index):
     else:
         anchor = empirical_markov_fit(panel)
     return init_chain(anchor, panel.n_subjects, design.p, chain_index=chain_index,
-                      jitter_scale=config.jitter_scale, seed=config.seed)
+                      seed=config.seed)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
