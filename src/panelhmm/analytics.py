@@ -75,7 +75,7 @@ def average_transition_difference(chain_set, design: DesignMatrix,
     out = []
     for params in _draws(chain_set):
         diff = transition_matrices(params, hi) - transition_matrices(params, lo)
-        out.append(diff.mean(axis=(0, 1)))
+        out.append(diff.mean(axis=(0, 3)))
     return np.stack(out)
 
 

@@ -118,6 +118,16 @@ def _load_fit(fit_dir, y_path, x_path):
     return storage.load_chain_set(fit_dir), panel, design, record["missing_token"]
 
 
+def _missing_dirs(path) -> list:
+    """The directories ``os.makedirs(path)`` would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 @click.group()
 def cli():
     """Mixed-effects (hidden) Markov models for ordinal panel data."""
@@ -155,9 +165,15 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
         n_chains=p["chains"], n_burnin=p["burnin"], n_keep=p["keep"],
         seed=p["seed"],
     )
+    new_dirs = _missing_dirs(out_dir)
     os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before sampling
-    chain_set = mcmc.run_chains(p["model_kind"], panel, design,
-                                config=sampler_config, n_states=n_states)
+    try:
+        chain_set = mcmc.run_chains(p["model_kind"], panel, design,
+                                    config=sampler_config, n_states=n_states)
+    except BaseException:
+        for path in new_dirs:  # still empty: nothing is written before this
+            os.rmdir(path)
+        raise
     storage.save_chain_set(out_dir, chain_set)
     storage.write_manifest(
         out_dir, "fit",

@@ -38,50 +38,48 @@ def _hmm_factors(codes: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _factors(panel: ObservationPanel, params: Params) -> np.ndarray:
-    """Likelihood factors of either model: emissions for the HMM; for the
-    Markov model, whose states are the observed levels, the identity
-    emissions, i.e. indicators on the observed levels."""
+    """Likelihood factors of either model, shape (R, T, N): emissions for
+    the HMM; for the Markov model, whose states are the observed levels,
+    the identity emissions, i.e. indicators on the observed levels."""
     P = np.eye(params.m_levels) if params.P is None else params.P
-    return _hmm_factors(panel.codes, P)
+    return np.ascontiguousarray(_hmm_factors(panel.codes, P).T)
 
 
 def _filter_all(L: np.ndarray, Q: np.ndarray, pi: np.ndarray):
-    """Scaled forward pass vectorized over subjects.
+    """Scaled forward pass vectorized over subjects, from the (R, T, N)
+    factors ``L`` and the (T-1, R, R, N) transition matrices ``Q``.
 
-    Returns (filtered (N, T, R), scaling (N, T)).  A subject whose factors
+    Returns (filtered (T, R, N), scaling (N, T)).  A subject whose factors
     are all ones (all data missing) gets scaling 1 on every day and hence
     contributes zero log-likelihood.
     """
-    N, T, R = L.shape
-    filtered = np.empty((N, T, R))
+    R, T, N = L.shape
+    filtered = np.empty((T, R, N))
     scaling = np.empty((N, T))
-    f = pi[None, :] * L[:, 0]
-    c = f.sum(axis=1)
-    safe = np.where(c > 0, c, 1.0)
-    filtered[:, 0] = f / safe[:, None]
-    scaling[:, 0] = c
-    for t in range(1, T):
-        f = np.einsum("nr,nrs->ns", filtered[:, t - 1], Q[:, t - 1]) * L[:, t]
-        c = f.sum(axis=1)
-        safe = np.where(c > 0, c, 1.0)
-        filtered[:, t] = f / safe[:, None]
+    f = pi[:, None] * L[:, 0]
+    for t in range(T):
+        if t:
+            f = np.einsum("rn,rsn->sn", filtered[t - 1], Q[t - 1]) * L[:, t]
+        c = f.sum(axis=0)
+        filtered[t] = f / np.where(c > 0, c, 1.0)
         scaling[:, t] = c
     return filtered, scaling
 
 
 def _backward_smooth(L: np.ndarray, Q: np.ndarray, filtered: np.ndarray) -> np.ndarray:
-    """Smoothed marginals from the filtered pass (normalized per day)."""
-    N, T, R = L.shape
+    """Smoothed marginals from the filtered pass (normalized per day), in
+    the layouts of :func:`_filter_all`; shape (T, R, N)."""
+    R, T, N = L.shape
     smoothed = np.empty_like(filtered)
-    b = np.ones((N, R))
-    smoothed[:, T - 1] = filtered[:, T - 1]
+    b = np.ones((R, N))
+    smoothed[T - 1] = filtered[T - 1]
     for t in range(T - 2, -1, -1):
-        b = np.einsum("nrs,ns->nr", Q[:, t], L[:, t + 1] * b)
-        b_sum = b.sum(axis=1, keepdims=True)
+        b = np.einsum("rsn,sn->rn", Q[t], L[:, t + 1] * b)
+        b_sum = b.sum(axis=0)
         b = b / np.where(b_sum > 0, b_sum, 1.0)
-        s = filtered[:, t] * b
-        s_sum = s.sum(axis=1, keepdims=True)
-        smoothed[:, t] = s / np.where(s_sum > 0, s_sum, 1.0)
+        s = filtered[t] * b
+        s_sum = s.sum(axis=0)
+        smoothed[t] = s / np.where(s_sum > 0, s_sum, 1.0)
     return smoothed
 
 
@@ -122,18 +120,20 @@ def _expected_counts(labels: np.ndarray, A: np.ndarray, P: np.ndarray,
 def _backward_sample_all(filtered: np.ndarray, Q: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
     """Exact joint draw of the chain from its full conditional, one path
-    per subject, vectorized over subjects.  Returns 1-based values."""
-    N, T, R = filtered.shape
+    per subject, vectorized over subjects, from the layouts of
+    :func:`_filter_all`.  Returns (N, T) 1-based values."""
+    T, R, N = filtered.shape
     states = np.empty((N, T), dtype=np.int64)
-    rows = np.arange(N)
+    cols = np.arange(N)
     u = rng.random((N, T))
-    cum = np.cumsum(filtered[:, T - 1], axis=1)
-    states[:, T - 1] = (u[:, T - 1, None] > cum).sum(axis=1) + 1
-    for t in range(T - 2, -1, -1):
-        w = filtered[:, t] * Q[rows, t, :, states[:, t + 1] - 1]
-        w /= w.sum(axis=1, keepdims=True)
-        cum = np.cumsum(w, axis=1)
-        states[:, t] = (u[:, t, None] > cum).sum(axis=1) + 1
+    w = filtered[T - 1]
+    for t in range(T - 1, -1, -1):
+        if t < T - 1:
+            # column states[i, t+1] of subject i's matrix Q[t, :, :, i]
+            w = filtered[t] * Q[t].reshape(R, R * N).take(
+                (states[:, t + 1] - 1) * N + cols, axis=1)
+            w /= w.sum(axis=0)
+        states[:, t] = (u[:, t] > np.cumsum(w, axis=0)).sum(axis=0) + 1
     return states
 
 
@@ -178,12 +178,12 @@ def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
     imputed and observed cells unchanged.  The log-likelihood is the same
     filter's scaling factors summed the same way as in
     :func:`log_likelihood_hmm` / :func:`log_likelihood_markov`, so it equals
-    them bit for bit.  The (N, T-1, R, K) logits of
+    them bit for bit.  The (T-1, R, K, N) logits of
     :func:`model.transition_logits` are returned for the parameter updates
     that follow the draw.
     """
     eta = transition_logits(params, design)
-    Q = softmax_rows(eta)
+    Q = softmax_rows(eta, axis=2)
     filtered, scaling = _filter_all(_factors(panel, params), Q, params.pi)
     draw = _backward_sample_all(filtered, Q, rng)
     if params.P is None:
@@ -205,10 +205,10 @@ def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
 def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
                        params: Params) -> np.ndarray:
     """Exact p(H_it = s | Y_obs, theta), shape (N, T, S)."""
-    L = _hmm_factors(panel.codes, params.P)
+    L = _factors(panel, params)
     Q = transition_matrices(params, design)
     filtered, _ = _filter_all(L, Q, params.pi)
-    return _backward_smooth(L, Q, filtered)
+    return _backward_smooth(L, Q, filtered).transpose(2, 0, 1)
 
 
 def viterbi(panel: ObservationPanel, design: DesignMatrix,
@@ -219,26 +219,26 @@ def viterbi(panel: ObservationPanel, design: DesignMatrix,
     Missing days contribute transition terms only.  Ties are broken toward
     the lower state index.
     """
-    L = _hmm_factors(panel.codes, params.P)
+    L = _factors(panel, params)
     Q = transition_matrices(params, design)
-    N, T, S = L.shape
+    S, T, N = L.shape
     with np.errstate(divide="ignore"):
         logL = np.log(L)
         logQ = np.log(Q)
         logpi = np.log(params.pi)
-    delta = logpi + logL[:, 0]  # (N, S)
-    back = np.zeros((N, T, S), dtype=np.int64)
+    delta = logpi[:, None] + logL[:, 0]  # (S, N)
+    back = np.zeros((T, S, N), dtype=np.int64)
     for t in range(1, T):
-        cand = delta[:, :, None] + logQ[:, t - 1]  # (N, from, to)
-        back[:, t] = cand.argmax(axis=1)  # first max: lower-state tie break
-        delta = cand.max(axis=1) + logL[:, t]
-    rows = np.arange(N)
+        cand = delta[:, None] + logQ[t - 1]  # (from, to, N)
+        back[t] = cand.argmax(axis=0)  # first max: lower-state tie break
+        delta = cand.max(axis=0) + logL[:, t]
+    cols = np.arange(N)
     states = np.empty((N, T), dtype=np.int64)
-    states[:, T - 1] = delta.argmax(axis=1)
+    states[:, T - 1] = delta.argmax(axis=0)
     for t in range(T - 1, 0, -1):
-        states[:, t - 1] = back[rows, t, states[:, t]]
+        states[:, t - 1] = back[t, states[:, t], cols]
     return [ViterbiPath(states=s + 1, log_joint=float(d))
-            for s, d in zip(states, delta.max(axis=1))]
+            for s, d in zip(states, delta.max(axis=0))]
 
 
 def log_joint_hmm(panel: ObservationPanel, design: DesignMatrix,
@@ -248,11 +248,11 @@ def log_joint_hmm(panel: ObservationPanel, design: DesignMatrix,
     h = np.asarray(hidden, dtype=np.int64)
     Q = transition_matrices(params, design)
     N, T = h.shape
-    rows = np.arange(N)[:, None]
+    subjects = np.arange(N)[:, None]
     days = np.arange(T - 1)[None, :]
     with np.errstate(divide="ignore"):
         ll = np.log(params.pi[h[:, 0] - 1]).sum()
-        ll += np.log(Q[rows, days, h[:, :-1] - 1, h[:, 1:] - 1]).sum()
+        ll += np.log(Q[days, h[:, :-1] - 1, h[:, 1:] - 1, subjects]).sum()
         obs = ~panel.mask
         ll += np.log(params.P[h[obs] - 1, panel.codes[obs] - 1]).sum()
     return float(ll)

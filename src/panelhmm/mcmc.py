@@ -290,7 +290,7 @@ class _RowData:
         self.i_arr = i_arr
         self.X = design.values[i_arr, t_arr]          # (n_pts, p)
         self.target = seq[i_arr, t_arr + 1]           # 1-based
-        self.eta = eta[i_arr, t_arr, row - 1]         # (n_pts, K)
+        self.eta = eta[t_arr, row - 1, :, i_arr]      # (n_pts, K)
         self.log_denom = _log_denominator(self.eta.T, i_arr.size)
 
     def propose(self, k: int, d) -> tuple:
@@ -313,9 +313,9 @@ class _RowData:
 
 
 def _row_caches(seq: np.ndarray, design: DesignMatrix, eta: np.ndarray) -> list:
-    """One :class:`_RowData` per row, gathered from the (N, T-1, R, K)
+    """One :class:`_RowData` per row, gathered from the (T-1, R, K, N)
     transition logits ``eta`` of the parameters ``seq`` was drawn under."""
-    return [_RowData(seq, design, eta, r + 1) for r in range(eta.shape[2])]
+    return [_RowData(seq, design, eta, r + 1) for r in range(eta.shape[1])]
 
 
 def _blocks(rows: list):
@@ -333,8 +333,8 @@ def _accept(name: str, log_ratio, rng: np.random.Generator):
     return np.log(rng.random(np.shape(log_ratio) or None)) < log_ratio
 
 
-def update_alpha(params, rows: list, prior: PriorSpec,
-                 rng: np.random.Generator, steps) -> np.ndarray:
+def update_alpha(params, rows: list, rng: np.random.Generator,
+                 steps) -> np.ndarray:
     """Random-walk Metropolis update of every random intercept.
 
     ``rows`` holds the row caches of :func:`_row_caches` for the complete
@@ -467,7 +467,7 @@ def update_location_joint(params, rows: list, prior: PriorSpec,
     return acc
 
 
-def update_pi(params, first_values: np.ndarray, prior: PriorSpec,
+def update_pi(params, first_values: np.ndarray,
               rng: np.random.Generator) -> None:
     """Dirichlet draw of the initial distribution from day-1 counts."""
     R = params.pi.size
@@ -476,7 +476,7 @@ def update_pi(params, first_values: np.ndarray, prior: PriorSpec,
 
 
 def update_emissions(params: Params, hidden: np.ndarray,
-                     panel: ObservationPanel, prior: PriorSpec,
+                     panel: ObservationPanel,
                      rng: np.random.Generator) -> None:
     """Dirichlet draw of each emission row from (hidden, observed-level)
     co-occurrence counts over observed cells only."""
@@ -513,15 +513,15 @@ def _sweep(params, panel: ObservationPanel, design: DesignMatrix,
     """
     seq, loglik, eta = inference._draw_with_log_likelihood(panel, design, params, rng)
     rows = _row_caches(seq, design, eta)
-    acc = {"alpha": update_alpha(params, rows, prior, rng, steps["alpha"]),
+    acc = {"alpha": update_alpha(params, rows, rng, steps["alpha"]),
            "beta": update_beta(params, rows, prior, rng, steps["beta"])}
     update_mu(params, prior, rng)
     update_sigma(params, prior, rng)
     update_scale_joint(params, rows, prior, rng)
     update_location_joint(params, rows, prior, rng)
     if params.P is not None:
-        update_emissions(params, seq, panel, prior, rng)
-    update_pi(params, seq[:, 0], prior, rng)
+        update_emissions(params, seq, panel, rng)
+    update_pi(params, seq[:, 0], rng)
     return loglik, acc
 
 
@@ -587,9 +587,9 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     Chains share the pooled anchor fit but receive per-chain jitter; each
     chain's output depends only on ``(config.seed, chain_index)``, so the
     result is invariant to execution order.  The chains run in worker
-    processes forked from this one, at most one per usable CPU; with one
-    usable CPU, one chain, or no ``fork`` start method they run here, one
-    after another.  Either way the output is the same bit for bit, with
+    processes forked from this one, one per chain; with one usable CPU,
+    one chain, or no ``fork`` start method they run here, one after
+    another.  Either way the output is the same bit for bit, with
     the chains in ``chain_index`` order, and an error raised in a chain
     reaches the caller as the same exception type.  ``n_states`` defaults
     to the number of observed levels (HMM only; the Markov model's rows
@@ -625,12 +625,15 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
 
 
 def _chain_workers(n_chains: int) -> int:
-    """Worker processes for ``n_chains`` chains: one per chain, capped at
-    the CPUs this process may run on; 1 means run in process."""
+    """Worker processes for ``n_chains`` chains: one per chain, so the OS
+    shares the CPUs among all of them and no CPU idles while the last
+    chains run; 1 (run in process) when only one CPU is usable or there
+    is no ``fork``."""
     if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")):
+            or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
         return 1
-    return min(n_chains, len(os.sched_getaffinity(0)))
+    return n_chains
 
 
 def sample_params_from_prior(prior: PriorSpec, n_subjects: int, n_rows: int,

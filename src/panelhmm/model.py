@@ -18,6 +18,12 @@ p covariates, M observed levels):
 * ``mu``, ``sigma``: (R, K) random-intercept means and sds.
 * ``pi``: (R,) initial distribution; ``P``: (S, M) emissions, or None
   for the Markov model.
+* transition logits and matrices: (T-1, R, K, N) and (T-1, R, R, N),
+  day, from-row, to-target, subject, with the subjects innermost.  Every
+  recursion over days (the forward filter, the backward sampler,
+  smoothing, Viterbi, simulation) steps all subjects at once, so each
+  day's step is a few whole-array operations on contiguous length-N rows,
+  not on arrays whose inner axes have the length R of a row.
 """
 
 from __future__ import annotations
@@ -119,31 +125,34 @@ class SimulatedPanel:
     seed: object
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with a prepended baseline logit of 0.
+def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over the category ``axis`` with a prepended baseline logit
+    of 0.
 
-    ``logits[..., k]`` is the logit of target category k + 2; the implied
-    logit of category 1 is exactly 0.  Computed stably by shifting every
-    logit by ``m = max(0, max_k logits[..., k])``, so the baseline column
-    is ``exp(-m)``.  Written into one output array; the maximum and the
-    row sums loop over the few columns, which is faster than a numpy
-    reduction along a short last axis.
+    Along ``axis``, entry k is the logit of target category k + 2; the
+    implied logit of category 1 is exactly 0, and the output has one more
+    entry along ``axis``.  Computed stably by shifting every logit by
+    ``m = max(0, max_k logit_k)``, so the baseline is ``exp(-m)``.
+    Written into one output array; the maximum and the sums loop over the
+    few categories, each step one whole-array operation.
     """
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("non-finite linear predictor in transition logits")
-    K = logits.shape[-1]
-    m = np.zeros(logits.shape[:-1])
-    for k in range(K):
-        np.maximum(m, logits[..., k], out=m)
-    out = np.empty(logits.shape[:-1] + (K + 1,))
-    np.subtract(logits, m[..., None], out=out[..., 1:])
-    np.negative(m, out=out[..., 0])
+    shape = list(logits.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    src, dst = np.moveaxis(logits, axis, 0), np.moveaxis(out, axis, 0)
+    m = np.zeros(src.shape[1:])
+    for row in src:
+        np.maximum(m, row, out=m)
+    np.subtract(src, m, out=dst[1:])
+    np.negative(m, out=dst[0, ...])
     np.exp(out, out=out)
-    total = out[..., 0].copy()
-    for k in range(1, K + 1):
-        total += out[..., k]
-    out /= total[..., None]
+    total = dst[0].copy()
+    for row in dst[1:]:
+        total += row
+    dst /= total
     return out
 
 
@@ -160,24 +169,27 @@ def inverse_softmax(row: np.ndarray, clamp: float = 1e-6) -> np.ndarray:
 
 
 def transition_logits(params, design: DesignMatrix) -> np.ndarray:
-    """All per-day transition logits, shape (N, T-1, R, K): entry
-    ``[i, t, r-1, s-2]`` is the logit of moving from row value r into
-    target s between day t and day t + 1, at the design vector of day t."""
+    """All per-day transition logits, shape (T-1, R, K, N): entry
+    ``[t, r-1, s-2, i]`` is the logit of subject i moving from row value r
+    into target s between day t and day t + 1, at the design vector of
+    day t."""
     R, K, p = params.beta.shape
-    X = design.values[:, :-1, :]  # (N, T-1, p)
-    eta = (X @ params.beta.reshape(R * K, p).T).reshape(X.shape[:2] + (R, K))
-    eta += params.alpha[:, None]
+    X = np.ascontiguousarray(design.values[:, :-1, :].transpose(1, 2, 0))
+    T1, _, N = X.shape  # X is (T-1, p, N)
+    eta = (params.beta.reshape(R * K, p) @ X).reshape(T1, R, K, N)
+    eta += params.alpha.transpose(1, 2, 0)
     return eta
 
 
 def transition_matrices(params, design: DesignMatrix) -> np.ndarray:
-    """All per-day transition matrices, shape (N, T-1, R, R): the softmax
-    of :func:`transition_logits`.
+    """All per-day transition matrices, shape (T-1, R, R, N): the softmax
+    of :func:`transition_logits` over its target axis.
 
-    Entry ``[i, t]`` governs the transition from day t to day t + 1 and is
-    evaluated at the design vector of day t.
+    Entry ``[t, r-1, s-1, i]`` is subject i's probability of moving from
+    row value r to s between day t and day t + 1, evaluated at the design
+    vector of day t.
     """
-    return softmax_rows(transition_logits(params, design))
+    return softmax_rows(transition_logits(params, design), axis=2)
 
 
 def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -200,9 +212,9 @@ def _simulate_chain(params, design: DesignMatrix, n_subjects: int, n_days: int,
     states[:, 0] = _sample_categorical_rows(
         np.broadcast_to(params.pi, (n_subjects, R)), rng.random(n_subjects)
     )
-    Q = transition_matrices(params, design)[:n_subjects]
+    Q = transition_matrices(params, design)[..., :n_subjects]
     for t in range(n_days - 1):
-        rows = Q[np.arange(n_subjects), t, states[:, t] - 1]
+        rows = Q[t, states[:, t] - 1, :, np.arange(n_subjects)]
         states[:, t + 1] = _sample_categorical_rows(rows, rng.random(n_subjects))
     return states
 

@@ -86,7 +86,7 @@ def enumerate_paths(panel, design, params, subject=0):
     for h in itertools.product(range(1, S + 1), repeat=T):
         prob = params.pi[h[0] - 1]
         for t in range(T - 1):
-            prob *= Q[subject, t, h[t] - 1, h[t + 1] - 1]
+            prob *= Q[t, h[t] - 1, h[t + 1] - 1, subject]
         for t in range(T):
             if not panel.mask[subject, t]:
                 prob *= params.P[h[t] - 1, panel.codes[subject, t] - 1]

@@ -196,7 +196,7 @@ def test_criterion_04_conjugate_updates():
     first = np.array([1, 1, 1, 2, 2, 3, 1, 2, 1, 1])
     pi_draws = np.empty(n_draws)
     for i in range(n_draws):
-        update_pi(params, first, prior, rng)
+        update_pi(params, first, rng)
         pi_draws[i] = params.pi[0]
     ks_pi = stats.kstest(pi_draws, "beta", args=(7, 6)).statistic
 
@@ -208,7 +208,7 @@ def test_criterion_04_conjugate_updates():
     small = params.copy()
     small.alpha = params.alpha[:1]
     for i in range(n_draws):
-        update_emissions(small, hidden, panel, prior, rng)
+        update_emissions(small, hidden, panel, rng)
         P_draws[i] = small.P[0, 0]
     ks_P = stats.kstest(P_draws, "beta", args=(4, 4)).statistic
 
@@ -337,8 +337,8 @@ def test_criterion_07_stationary_solver():
     )
     Qs = transition_matrices(mparams, design)
     markov_ok = all(
-        np.max(np.abs(stationary_distribution(Qs[i, t]) @ Qs[i, t]
-                      - stationary_distribution(Qs[i, t]))) < 1e-12
+        np.max(np.abs(stationary_distribution(Qs[t, :, :, i]) @ Qs[t, :, :, i]
+                      - stationary_distribution(Qs[t, :, :, i]))) < 1e-12
         for i in range(3) for t in range(4)
     )
     _verdict(7, f"1000 random chains solved (max residual "

@@ -12,6 +12,7 @@ from panelhmm.dataset import (
     load_observations,
     save_observations,
 )
+from panelhmm.errors import NumericalError
 from panelhmm.model import save_params
 
 from conftest import random_hmm_params, trial_design
@@ -198,6 +199,32 @@ class TestFit:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 3
+
+    @staticmethod
+    def _fit_failing_in_sampler(workspace, out, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("non-finite posterior quantity in alpha update")
+
+        monkeypatch.setattr(cli.mcmc, "run_chains", fail)
+        return main([
+            "fit", "--y", str(workspace / "y.csv"),
+            "--x", str(workspace / "x.csv"), "--burnin", "2", "--keep", "2",
+            "--out", str(out),
+        ])
+
+    @pytest.mark.parametrize("out", ["out", "new/out"])
+    def test_failed_sampling_removes_the_out_it_made(self, workspace, tmp_path,
+                                                     monkeypatch, out):
+        assert self._fit_failing_in_sampler(workspace, tmp_path / out,
+                                            monkeypatch) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_sampling_keeps_an_existing_out(self, workspace, tmp_path,
+                                                   monkeypatch):
+        (tmp_path / "out").mkdir()
+        assert self._fit_failing_in_sampler(workspace, tmp_path / "out",
+                                            monkeypatch) == 3
+        assert (tmp_path / "out").is_dir()
 
     @pytest.mark.parametrize("column", [2, 3])
     def test_nan_proportion_exits_2(self, workspace, tmp_path, column):

@@ -5,6 +5,7 @@ import pytest
 
 from panelhmm.dataset import DesignMatrix, ObservationPanel
 from panelhmm.inference import (
+    _draw_with_log_likelihood,
     _expected_counts,
     _filter_all,
     _hmm_factors,
@@ -16,7 +17,7 @@ from panelhmm.inference import (
     smoothed_marginals,
     viterbi,
 )
-from panelhmm.model import Params, transition_matrices
+from panelhmm.model import Params, softmax_rows, transition_matrices
 
 from conftest import (
     enumerate_paths,
@@ -101,11 +102,11 @@ class TestSmoothing:
 
     def test_filtered_and_smoothed_are_distributions(self, rng):
         panel, design, params = random_instance(rng, n_subjects=3, n_days=8)
-        filtered, scaling = _filter_all(_hmm_factors(panel.codes, params.P),
+        filtered, scaling = _filter_all(_hmm_factors(panel.codes, params.P).T,
                                         transition_matrices(params, design),
                                         params.pi)
         smoothed = smoothed_marginals(panel, design, params)
-        np.testing.assert_allclose(filtered.sum(axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(filtered.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(smoothed.sum(axis=2), 1.0, atol=1e-12)
         assert np.log(scaling).sum() == pytest.approx(
             log_likelihood_hmm(panel, design, params))
@@ -243,6 +244,60 @@ class TestFfbs:
         assert (h == panel.codes).mean() > 0.95
 
 
+def _data_step_by_loops(panel, design, params, u):
+    """The data step one subject and one day at a time, from matrices
+    built one at a time: forward filter, log-likelihood, and the backward
+    draw with the (N, T) uniforms ``u``."""
+    N, T = panel.codes.shape
+    P = np.eye(params.m_levels) if params.P is None else params.P
+    draw = np.zeros((N, T), dtype=np.int64)
+    loglik = 0.0
+    for i in range(N):
+        Q = [softmax_rows(params.alpha[i] + params.beta @ design.values[i, t])
+             for t in range(T - 1)]
+        filtered = []
+        for t in range(T):
+            f = params.pi if t == 0 else filtered[-1] @ Q[t - 1]
+            if not panel.mask[i, t]:
+                f = f * P[:, panel.codes[i, t] - 1]
+            loglik += np.log(f.sum())
+            filtered.append(f / f.sum())
+        w = filtered[-1]
+        for t in range(T - 1, -1, -1):
+            if t < T - 1:
+                w = filtered[t] * Q[t][:, draw[i, t + 1] - 1]
+                w = w / w.sum()
+            draw[i, t] = np.sum(u[i, t] > np.cumsum(w)) + 1
+    if params.P is None:
+        draw[~panel.mask] = panel.codes[~panel.mask]
+    return draw, loglik
+
+
+class TestDataStepLayout:
+    @pytest.mark.parametrize("model_kind", ["hmm", "markov"])
+    def test_matches_per_subject_day_loops(self, model_kind):
+        # [DERIVED] the vectorized data step against plain loops over each
+        # subject's per-day matrices, with the same uniforms
+        rng = np.random.default_rng(31)
+        N, T = 6, 12
+        design = random_design(N, T, rng, p=2)
+        params = (random_hmm_params(N, 3, 3, 2, rng) if model_kind == "hmm"
+                  else random_markov_params(N, 3, 2, rng))
+        mask = np.zeros((N, T), dtype=bool)
+        mask[0, :3] = True      # a leading gap
+        mask[1, 3:8] = True     # an interior run
+        mask[2, 7:] = True      # a dropout tail
+        mask[3, 1:11:2] = True  # isolated days
+        codes = np.where(mask, 0, rng.integers(1, 4, (N, T)))
+        panel = ObservationPanel(codes=codes, mask=mask)
+        draw, loglik, _ = _draw_with_log_likelihood(
+            panel, design, params, np.random.default_rng(5))
+        expected, expected_ll = _data_step_by_loops(
+            panel, design, params, np.random.default_rng(5).random((N, T)))
+        np.testing.assert_array_equal(draw, expected)
+        assert loglik == pytest.approx(expected_ll, rel=1e-12)
+
+
 class TestMarkovLikelihood:
     def test_complete_data_formula(self, rng):
         design = random_design(3, 6, rng)
@@ -254,7 +309,7 @@ class TestMarkovLikelihood:
         for i in range(3):
             expected += np.log(params.pi[codes[i, 0] - 1])
             for t in range(5):
-                expected += np.log(Q[i, t, codes[i, t] - 1, codes[i, t + 1] - 1])
+                expected += np.log(Q[t, codes[i, t] - 1, codes[i, t + 1] - 1, i])
         assert log_likelihood_markov(panel, design, params) == \
             pytest.approx(expected, rel=1e-12)
 
@@ -272,7 +327,7 @@ class TestMarkovLikelihood:
             y = [1, a, b, 2, 3]
             complete = params.pi[y[0] - 1]
             for t in range(4):
-                complete *= Q[0, t, y[t] - 1, y[t + 1] - 1]
+                complete *= Q[t, y[t] - 1, y[t + 1] - 1, 0]
             total += complete
         got = np.exp(log_likelihood_markov(panel, design, params))
         assert got == pytest.approx(total, rel=1e-10)
@@ -283,7 +338,7 @@ class TestMarkovLikelihood:
         panel = ObservationPanel(codes=np.array([[0, 0, 2]]),
                                  mask=np.array([[True, True, False]]))
         Q = transition_matrices(params, design)
-        expected = (params.pi @ Q[0, 0] @ Q[0, 1])[1]
+        expected = (params.pi @ Q[0, :, :, 0] @ Q[1, :, :, 0])[1]
         got = np.exp(log_likelihood_markov(panel, design, params))
         assert got == pytest.approx(expected, rel=1e-12)
 

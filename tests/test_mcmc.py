@@ -8,6 +8,7 @@ from scipy import stats
 
 from panelhmm import inference, mcmc
 from panelhmm.dataset import DesignMatrix, ObservationPanel
+from panelhmm.diagnostics import effective_sample_size
 from panelhmm.errors import InputError, NumericalError
 from panelhmm.mcmc import (
     Chain,
@@ -34,6 +35,7 @@ from panelhmm.inference import log_likelihood_hmm, log_likelihood_markov
 from panelhmm.model import (
     Params,
     inverse_softmax,
+    simulate_markov,
     softmax_rows,
     transition_logits,
     transition_matrices,
@@ -118,11 +120,10 @@ class TestConjugateUpdates:
 
     def test_pi_dirichlet_counts(self, rng):
         params = random_hmm_params(4, 3, 3, 2, rng)
-        prior = PriorSpec()
         first = np.array([1, 1, 2, 3])
         draws = np.empty(self.N_DRAWS)
         for i in range(self.N_DRAWS):
-            update_pi(params, first, prior, rng)
+            update_pi(params, first, rng)
             draws[i] = params.pi[0]
         # Dirichlet(3, 2, 2) marginal: Beta(3, 4)
         p = stats.kstest(draws, "beta", args=(3, 4)).pvalue
@@ -130,7 +131,6 @@ class TestConjugateUpdates:
 
     def test_emission_dirichlet_counts(self, rng):
         params = random_hmm_params(2, 2, 3, 2, rng)
-        prior = PriorSpec()
         codes = np.array([[1, 1, 2, 3], [1, 2, 2, 1]])
         mask = np.array([[0, 0, 0, 1], [0, 0, 0, 0]], dtype=bool)
         panel = ObservationPanel(codes=np.where(mask, 0, codes), mask=mask)
@@ -138,7 +138,7 @@ class TestConjugateUpdates:
         # state-1 observed counts: level1 x 3, level2 x 2, level3 x 0
         draws = np.empty(self.N_DRAWS)
         for i in range(self.N_DRAWS):
-            update_emissions(params, hidden, panel, prior, rng)
+            update_emissions(params, hidden, panel, rng)
             draws[i] = params.P[0, 0]
         p = stats.kstest(draws, "beta", args=(4, 4)).pvalue
         assert p > KS_ALPHA
@@ -197,7 +197,6 @@ class TestMetropolisUpdates:
         # conditional adds the N(mu, sigma^2) prior term
         rng = np.random.default_rng(103)
         design, seq, params, x, y = self._binary_logit_setup(rng)
-        prior = PriorSpec()
         grid = np.linspace(-8, 8, 4001)
         log_post = (y.sum() * grid
                     - np.logaddexp(0.0, grid[:, None]).sum(axis=1) * 0.0)
@@ -207,7 +206,7 @@ class TestMetropolisUpdates:
         rows = row_caches(params, seq, design)
         draws = np.empty(30_000)
         for i in range(draws.size):
-            update_alpha(params, rows, prior, rng, steps=np.full((2, 1), 2.0))
+            update_alpha(params, rows, rng, steps=np.full((2, 1), 2.0))
             draws[i] = params.alpha[0, 0, 0]
             params.beta[...] = 0.0  # pin the fixed effects out of the way
         assert self._tv_against_grid(draws[2000:], grid, log_post) < 0.05
@@ -224,7 +223,7 @@ class TestMetropolisUpdates:
         seq = rng.integers(1, 3, size=(3000, 4))  # states 1 and 2 only
         rows = row_caches(params, seq, design)
         for _ in range(5):
-            update_alpha(params, rows, PriorSpec(), rng, steps=np.full((3, 2), 1.5))
+            update_alpha(params, rows, rng, steps=np.full((3, 2), 1.5))
         p = stats.kstest(params.alpha[:, 2, 0], "norm", args=(0.7, 1.3)).pvalue
         assert p > KS_ALPHA
 
@@ -233,9 +232,9 @@ class TestMetropolisUpdates:
                                                 missing_rate=0.0)
         seq = panel.codes
         tiny = update_alpha(params.copy(), row_caches(params, seq, design),
-                            PriorSpec(), rng, steps=np.full((3, 2), 1e-4))
+                            rng, steps=np.full((3, 2), 1e-4))
         huge = update_alpha(params.copy(), row_caches(params, seq, design),
-                            PriorSpec(), rng, steps=np.full((3, 2), 40.0))
+                            rng, steps=np.full((3, 2), 40.0))
         assert tiny.mean() > 0.95
         assert huge.mean() < 0.3
 
@@ -564,7 +563,7 @@ class TestMissingImputation:
         panel = ObservationPanel(codes=np.array([[2, 0, 3]]),
                                  mask=np.array([[False, True, False]]))
         Q = transition_matrices(params, design)
-        weights = Q[0, 0, 1, :] * Q[0, 1, :, 2]
+        weights = Q[0, 1, :, 0] * Q[1, :, 2, 0]
         weights /= weights.sum()
         counts = np.zeros(3)
         n = 30_000
@@ -573,6 +572,50 @@ class TestMissingImputation:
             counts[v - 1] += 1
         tv = 0.5 * np.abs(counts / n - weights).sum()
         assert tv < 0.01
+
+
+class TestMarkovJointDistribution:
+    def test_successive_conditional_keeps_prior_marginals(self):
+        # criterion 5 for the Markov sweep, whose data step imputes every
+        # missing run: alternating a sweep with a fresh simulation leaves
+        # the prior invariant, so each recorded scalar matches its prior
+        # marginal
+        rng = np.random.default_rng(506)
+        N, T, M, p = 5, 10, 3, 2
+        design = random_design(N, T, rng, p=p)
+        prior = PriorSpec(beta_sd=0.4, mu_sd=0.7, sigma_prior="inv-chisq",
+                          sigma_nu0=8.0, sigma_s0sq=0.09)
+        mask = np.zeros((N, T), dtype=bool)
+        mask[1, 3:6] = True   # an interior run
+        mask[2, 7:] = True    # a dropout tail
+        mask[3, :2] = True    # a leading gap
+        mask[4, [2, 6]] = True  # isolated days
+        params = sample_params_from_prior(prior, N, M, p, M, "markov", rng)
+        n_sweeps, burn = 6000, 500
+        steps = {"alpha": np.full((M, M - 1), 1.2),
+                 "beta": np.full((M, M - 1, p), 0.8)}
+        records = {name: [] for name in ("mu", "beta", "sigma2", "pi", "alpha")}
+        for sweep in range(n_sweeps):
+            panel = simulate_markov(params, design, N, T, mask=mask,
+                                    seed=int(rng.integers(2 ** 63))).observed
+            mcmc._sweep(params, panel, design, prior, rng, steps)
+            if sweep >= burn:
+                records["mu"].append(params.mu[0, 0])
+                records["beta"].append(params.beta[0, 0, 0])
+                records["sigma2"].append(params.sigma[0, 0] ** 2)
+                records["pi"].append(params.pi[0])
+                records["alpha"].append(params.alpha[0, 0, 0])
+        medians = {"mu": 0.0, "beta": 0.0, "alpha": 0.0,
+                   "sigma2": prior.sigma_nu0 * prior.sigma_s0sq
+                   / stats.chi2.median(prior.sigma_nu0),
+                   "pi": stats.beta.median(1, M - 1)}
+        p_values = {}
+        for name, values in records.items():
+            below = (np.asarray(values) < medians[name]).astype(float)
+            ess = effective_sample_size(below)
+            z = (below.mean() - 0.5) / np.sqrt(0.25 / ess)
+            p_values[name] = 2 * stats.norm.sf(abs(z))
+        assert min(p_values.values()) > 0.01, p_values
 
 
 class TestChainOrchestration:
@@ -678,11 +721,18 @@ class TestChainPool:
                 np.testing.assert_array_equal(chain.acceptance[name],
                                               ref.acceptance[name])
 
-    def test_workers_capped_by_chains_and_cpus(self):
-        cpus = len(os.sched_getaffinity(0))
+    def test_one_worker_per_chain_unless_one_cpu(self, monkeypatch):
+        # with two CPUs, 3 chains get 3 workers: none waits for a second round
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert mcmc._chain_workers(1) == 1
-        assert mcmc._chain_workers(cpus + 5) == cpus
-        assert mcmc._chain_workers(2) == min(2, cpus)
+        assert mcmc._chain_workers(2) == 2
+        assert mcmc._chain_workers(3) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert mcmc._chain_workers(3) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert mcmc._chain_workers(3) == 1
 
     def test_worker_error_reaches_caller(self, rng, pooled):
         panel, design, _ = random_instance(rng, n_subjects=6, n_days=20)

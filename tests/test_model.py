@@ -114,7 +114,7 @@ class TestTransitions:
         design = random_design(1, 3, rng)
         params = random_hmm_params(1, 3, 3, 2, rng)
         x = design.values[0, 1]
-        Q = transition_matrices(params, design)[0, 1]
+        Q = transition_matrices(params, design)[1, :, :, 0]
         for r in range(1, 4):
             eta = params.alpha[0, r - 1] + params.beta[r - 1] @ x
             expected = np.concatenate([[1.0], np.exp(eta)])
@@ -125,7 +125,7 @@ class TestTransitions:
         design = random_design(3, 4, rng)
         params = random_hmm_params(3, 3, 3, 2, rng)
         Q = transition_matrices(params, design)
-        np.testing.assert_allclose(Q.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(Q.sum(axis=2), 1.0, atol=1e-12)
 
     def test_batch_matches_single(self, rng):
         # each subject-day's matrix is the softmax of that day's logits alone
@@ -136,7 +136,7 @@ class TestTransitions:
         for i in range(3):
             for t in range(3):
                 single = softmax_rows(params.alpha[i] + params.beta @ design.values[i, t])
-                np.testing.assert_allclose(Q[i, t], single, atol=1e-14)
+                np.testing.assert_allclose(Q[t, :, :, i], single, atol=1e-14)
 
     @pytest.mark.parametrize("S", [1, 2, 3, 5])
     def test_matches_einsum_concatenate_reference(self, rng, S):
@@ -148,10 +148,11 @@ class TestTransitions:
                                                 design.values[:, :-1])
         full = np.concatenate([np.zeros(eta.shape[:-1] + (1,)), eta], axis=-1)
         e = np.exp(full - full.max(axis=-1, keepdims=True))
-        np.testing.assert_allclose(transition_logits(params, design), eta,
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(transition_logits(params, design),
+                                   np.moveaxis(eta, 0, -1), rtol=0, atol=1e-14)
         np.testing.assert_allclose(transition_matrices(params, design),
-                                   e / e.sum(axis=-1, keepdims=True), rtol=0, atol=1e-15)
+                                   np.moveaxis(e / e.sum(axis=-1, keepdims=True), 0, -1),
+                                   rtol=0, atol=1e-15)
 
     def test_multi_step_is_ordered_product(self, rng):
         # across a two-day gap the Markov likelihood moves by the ordered
@@ -160,7 +161,7 @@ class TestTransitions:
         design = random_design(2, 6, rng)
         params = random_markov_params(2, 3, 2, rng)
         Q = transition_matrices(params, design)
-        expected = Q[1, 1] @ Q[1, 2] @ Q[1, 3]
+        expected = Q[1, :, :, 1] @ Q[2, :, :, 1] @ Q[3, :, :, 1]
         mask = np.array([[True] * 6, [True, False, True, True, False, True]])
         got = np.zeros((3, 3))
         for a in range(1, 4):
@@ -169,7 +170,7 @@ class TestTransitions:
                 codes[1, 1], codes[1, 4] = a, b
                 panel = ObservationPanel(codes=codes, mask=mask)
                 lik = np.exp(log_likelihood_markov(panel, design, params))
-                got[a - 1, b - 1] = lik / (params.pi @ Q[1, 0])[a - 1]
+                got[a - 1, b - 1] = lik / (params.pi @ Q[0, :, :, 1])[a - 1]
         np.testing.assert_allclose(got, expected, atol=1e-14)
         np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
 
