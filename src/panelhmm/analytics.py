@@ -15,8 +15,9 @@ import numpy as np
 from . import inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
-from .model import (simulate_hmm, simulate_markov, softmax_rows,
-                    transition_matrices)
+from .model import simulate_block, softmax_rows, transition_matrices
+
+PPC_BLOCK = 8  # replicates simulated together: a few MB of arrays at paper scale
 
 
 @dataclass(frozen=True)
@@ -140,25 +141,28 @@ def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
     draw; ``same_subjects`` reuses the draw's own intercepts.  The mask
     (typically the observed missingness pattern) is applied to every
     replicate so statistics ignore the same cells as the observed data.
+    Replicates are simulated :data:`PPC_BLOCK` at a time by
+    :func:`model.simulate_block`; each is the panel ``simulate_hmm`` or
+    ``simulate_markov`` gives for its draw and seed.
     """
     if mode not in ("new_subjects", "same_subjects"):
         raise InputError(f"unknown replicate mode {mode!r}")
     rng = np.random.default_rng(rng)
-    n = design.n_subjects
-    t = design.n_days
     if draw_indices is None:
         draw_indices = range(chain_set.n_chains * chain_set.n_kept)
-    for g in draw_indices:
-        params = chain_set.params_at(g)
-        if mode == "new_subjects":
-            params.alpha = (params.mu[None]
-                            + params.sigma[None]
-                            * rng.standard_normal(params.alpha.shape))
-        seed = rng.integers(2 ** 63)
-        if params.P is not None:
-            yield simulate_hmm(params, design, n, t, mask=mask, seed=seed)
-        else:
-            yield simulate_markov(params, design, n, t, mask=mask, seed=seed)
+    draw_indices = list(draw_indices)
+    for start in range(0, len(draw_indices), PPC_BLOCK):
+        block, seeds = [], []
+        for g in draw_indices[start:start + PPC_BLOCK]:
+            params = chain_set.params_at(g)
+            if mode == "new_subjects":
+                params.alpha = (params.mu[None]
+                                + params.sigma[None]
+                                * rng.standard_normal(params.alpha.shape))
+            block.append(params)
+            seeds.append(rng.integers(2 ** 63))
+        yield from simulate_block(block, design, design.n_subjects,
+                                  design.n_days, seeds, mask)
 
 
 def ppc_statistics(panel: ObservationPanel, block_length: int = 28) -> dict:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .dataset import build_design, load_covariates, load_observations
 from .errors import InputError, NumericalError, PanelHmmError
 
 SCHEMA_COMMENT = f"# schema-version: {storage.SCHEMA_VERSION}"
+_SUBJECT_BLOCK = 64  # viterbi.csv rows are formatted 64 subjects at a time
 INPUT_FILE = click.Path(exists=True, dir_okay=False)  # a directory exits 2
 OUTPUT_DIR = click.Path(file_okay=False)  # an existing file exits 2
 
@@ -79,6 +81,21 @@ def _num(value) -> str:
     """A numeric CSV cell: the shortest repr that round-trips the float.
     Converting first keeps numpy's ``np.float64(...)`` repr out of files."""
     return repr(float(value))
+
+
+def _num_column(values) -> list:
+    """:func:`_num` of every value, in C order: ``repr`` of a list of
+    floats writes each as ``repr(float)`` does."""
+    text = repr(np.ravel(values).tolist())[1:-1]
+    return text.split(", ") if text else []
+
+
+def _csv_cell(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it in a row: quoted if it
+    holds the delimiter, a quote or a line break."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def _write_csv(path, header, rows):
@@ -358,20 +375,26 @@ def viterbi(fit_dir, y_path, x_path, out_dir):
     paths = inference.viterbi(panel, design, params)
     marginals = inference.smoothed_marginals(panel, design, params)
     S = params.n_states
-    rows = []
-    for i, path in enumerate(paths):
-        for t in range(panel.n_days):
-            observed = (missing_token if panel.mask[i, t]
-                        else str(panel.codes[i, t]))
-            rows.append([i, t + 1, observed, int(path.states[t])]
-                        + [_num(marginals[i, t, s]) for s in range(S)])
+    states = np.stack([path.states for path in paths])
+    # cell strings by value: observed codes with the token at 0 (missing)
+    observed = [_csv_cell(missing_token)] + [str(m) for m in range(1, panel.m_levels + 1)]
+    state_names = [str(s) for s in range(S + 1)]
+    days = [str(t + 1) for t in range(panel.n_days)]
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "viterbi.csv"),
-        ["subject", "day", "observed", "state"]
-        + [f"p_state_{s + 1}" for s in range(S)],
-        rows,
-    )
+    with open(os.path.join(out_dir, "viterbi.csv"), "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write(SCHEMA_COMMENT + "\n")
+        csv.writer(fh).writerow(["subject", "day", "observed", "state"]
+                                + [f"p_state_{s + 1}" for s in range(S)])
+        for i0 in range(0, panel.n_subjects, _SUBJECT_BLOCK):
+            block = slice(i0, i0 + _SUBJECT_BLOCK)
+            columns = [
+                [str(i) for i in range(panel.n_subjects)[block] for _ in days],
+                days * len(states[block]),
+                [observed[c] for c in panel.codes[block].ravel().tolist()],
+                [state_names[s] for s in states[block].ravel().tolist()],
+            ] + [_num_column(marginals[block, :, s]) for s in range(S)]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
     storage.write_manifest(out_dir, "viterbi", {},
                            {"y": y_path, "x": x_path}, None)
     click.echo(f"decoded {len(paths)} subjects into {out_dir}/viterbi.csv")

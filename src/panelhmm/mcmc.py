@@ -587,7 +587,8 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     Chains share the pooled anchor fit but receive per-chain jitter; each
     chain's output depends only on ``(config.seed, chain_index)``, so the
     result is invariant to execution order.  The chains run in worker
-    processes forked from this one, one per chain; with one usable CPU,
+    processes forked from this one, one per chain up to two per usable
+    CPU (further chains wait for a free worker); with one usable CPU,
     one chain, or no ``fork`` start method they run here, one after
     another.  Either way the output is the same bit for bit, with
     the chains in ``chain_index`` order, and an error raised in a chain
@@ -627,13 +628,14 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
 def _chain_workers(n_chains: int) -> int:
     """Worker processes for ``n_chains`` chains: one per chain, so the OS
     shares the CPUs among all of them and no CPU idles while the last
-    chains run; 1 (run in process) when only one CPU is usable or there
-    is no ``fork``."""
+    chains run, but at most two per usable CPU, since each worker holds
+    a whole chain's draws; 1 (run in process) when only one CPU is
+    usable or there is no ``fork``."""
     if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
+            or not hasattr(os, "sched_getaffinity")):
         return 1
-    return n_chains
+    cpus = len(os.sched_getaffinity(0))
+    return 1 if cpus < 2 else min(n_chains, 2 * cpus)
 
 
 def sample_params_from_prior(prior: PriorSpec, n_subjects: int, n_rows: int,

@@ -28,6 +28,7 @@ p covariates, M observed levels):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,10 @@ def transition_logits(params, design: DesignMatrix) -> np.ndarray:
     into target s between day t and day t + 1, at the design vector of
     day t."""
     R, K, p = params.beta.shape
-    X = np.ascontiguousarray(design.values[:, :-1, :].transpose(1, 2, 0))
-    T1, _, N = X.shape  # X is (T-1, p, N)
+    # (T-1, p, N) as a view: matmul hands BLAS the strides, so no call
+    # copies the design
+    X = design.values[:, :-1, :].transpose(1, 2, 0)
+    T1, _, N = X.shape
     eta = (params.beta.reshape(R * K, p) @ X).reshape(T1, R, K, N)
     eta += params.alpha.transpose(1, 2, 0)
     return eta
@@ -192,31 +195,70 @@ def transition_matrices(params, design: DesignMatrix) -> np.ndarray:
     return softmax_rows(transition_logits(params, design), axis=2)
 
 
-def _sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized categorical draw: one draw per row of ``probs`` using the
-    uniforms ``u``.  Returns 1-based values."""
-    cum = np.cumsum(probs, axis=-1)
-    return (u[..., None] > cum).sum(axis=-1) + 1
+def _categorical(cum, u: np.ndarray) -> np.ndarray:
+    """1-based categorical draws from the uniforms ``u``: 1 plus the number
+    of the cumulative probabilities in ``cum`` that ``u`` exceeds.  ``cum``
+    holds every category's but the last (1 up to rounding), so no draw
+    passes the last category."""
+    draw = np.ones(u.shape, dtype=np.int64)
+    for c in cum:
+        draw += u > c
+    return draw
 
 
-def _simulate_chain(params, design: DesignMatrix, n_subjects: int, n_days: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Simulate the row-indexed chain (hidden states for the HMM, observed
-    levels for the Markov model) for all subjects, shape (N, T)."""
-    if n_subjects > params.n_subjects or n_subjects > design.n_subjects:
+def simulate_block(block: list, design: DesignMatrix, n_subjects: int,
+                   n_days: int, seeds: list, mask: np.ndarray | None = None) -> list:
+    """Forward-simulate one panel per (params, seed) pair of ``block``, all
+    of one model, as :class:`SimulatedPanel` objects.
+
+    Each replicate draws from its own ``default_rng(seed)``: ``random(N)``
+    for the first day, ``random((T-1, N))`` for the transitions and, for
+    the HMM, ``random((N, T))`` for the emissions, so a replicate is the
+    same bit for bit whatever block it is simulated in.  Each day one
+    matrix product gives every replicate's logits for every row; only the
+    row each subject is in is gathered (flat ``take``) and put through
+    :func:`softmax_rows`.  Cells under ``mask`` are reported missing, but
+    their hidden states (and latent levels) are simulated.
+    """
+    if (n_subjects > min(params.n_subjects for params in block)
+            or n_subjects > design.n_subjects):
         raise InputError("n_subjects exceeds the parameter/design population")
     if n_days > design.n_days:
         raise InputError("n_days exceeds the design horizon")
-    R = params.n_states
-    states = np.zeros((n_subjects, n_days), dtype=np.int64)
-    states[:, 0] = _sample_categorical_rows(
-        np.broadcast_to(params.pi, (n_subjects, R)), rng.random(n_subjects)
-    )
-    Q = transition_matrices(params, design)[..., :n_subjects]
-    for t in range(n_days - 1):
-        rows = Q[t, states[:, t] - 1, :, np.arange(n_subjects)]
-        states[:, t + 1] = _sample_categorical_rows(rows, rng.random(n_subjects))
-    return states
+    hmm = block[0].P is not None
+    B, N, T = len(block), n_subjects, n_days
+    R, K, p = block[0].beta.shape
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    first = np.empty((B, N))
+    days = np.empty((B, T - 1, N))
+    for b, rng in enumerate(rngs):
+        rng.random(out=first[b])
+        rng.random(out=days[b])
+    beta = np.concatenate([params.beta.reshape(R * K, p) for params in block])
+    alpha = np.stack([params.alpha[:N].transpose(1, 2, 0) for params in block])
+    X = design.values[:N, :-1, :].transpose(1, 2, 0)  # (T-1, p, N), a view
+    # flat offset of [b, r-1, k, i] in a (B, R, K, N) logit array, less (r-1)KN
+    base = (np.arange(B)[:, None, None] * (R * K * N)
+            + np.arange(K)[None, :, None] * N + np.arange(N))
+    chain = np.empty((B, N, T), dtype=np.int64)
+    pi = np.stack([params.pi for params in block])  # (B, R)
+    chain[:, :, 0] = _categorical(np.cumsum(pi, axis=1).T[:-1, :, None], first)
+    for t in range(T - 1):
+        eta = (beta @ X[t]).reshape(B, R, K, N)
+        eta += alpha
+        rows = eta.reshape(-1).take(base + (chain[:, None, :, t] - 1) * (K * N))
+        probs = softmax_rows(rows, axis=1).swapaxes(0, 1)  # (R, B, N)
+        # accumulate adds in order, as np.cumsum does
+        chain[:, :, t + 1] = _categorical(itertools.accumulate(probs[:-1]), days[:, t])
+    out = []
+    for params, hidden, rng, seed in zip(block, chain, rngs, seeds):
+        codes = hidden
+        if hmm:
+            cum = np.cumsum(params.P, axis=1).T[:-1]  # (M-1, S)
+            codes = _categorical((c.take(hidden - 1) for c in cum), rng.random((N, T)))
+        out.append(SimulatedPanel(observed=_masked_panel(codes, mask, params.m_levels),
+                                  hidden=hidden if hmm else None, seed=seed))
+    return out
 
 
 def _masked_panel(codes: np.ndarray, mask, m_levels: int) -> ObservationPanel:
@@ -237,23 +279,18 @@ def simulate_hmm(params: Params, design: DesignMatrix, n_subjects: int,
     under ``mask`` are reported missing in the observed panel but their
     hidden states are kept.  Fully reproducible from ``seed``.
     """
-    rng = np.random.default_rng(seed)
-    hidden = _simulate_chain(params, design, n_subjects, n_days, rng)
-    obs = _sample_categorical_rows(
-        params.P[hidden - 1], rng.random(hidden.shape)
-    )
-    return SimulatedPanel(observed=_masked_panel(obs, mask, params.m_levels),
-                          hidden=hidden, seed=seed)
+    if params.P is None:
+        raise InputError("simulate_hmm needs HMM parameters (with emissions P)")
+    return simulate_block([params], design, n_subjects, n_days, [seed], mask)[0]
 
 
 def simulate_markov(params: Params, design: DesignMatrix, n_subjects: int,
                     n_days: int, mask: np.ndarray | None = None,
                     seed=None) -> SimulatedPanel:
     """Forward-simulate the observation-level Markov chain."""
-    rng = np.random.default_rng(seed)
-    obs = _simulate_chain(params, design, n_subjects, n_days, rng)
-    return SimulatedPanel(observed=_masked_panel(obs, mask, params.m_levels),
-                          hidden=None, seed=seed)
+    if params.P is not None:
+        raise InputError("simulate_markov needs Markov parameters (no emissions P)")
+    return simulate_block([params], design, n_subjects, n_days, [seed], mask)[0]
 
 
 # -- flat key-value parameter serialization ---------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panelhmm import analytics
 from panelhmm.analytics import (
     average_stationary_difference,
     average_transition_difference,
@@ -16,7 +17,7 @@ from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
 from panelhmm.inference import pointwise_predictive
 from panelhmm.mcmc import Chain, ChainSet, SamplerConfig, run_chains
-from panelhmm.model import softmax_rows, transition_matrices
+from panelhmm.model import simulate_hmm, simulate_markov, softmax_rows
 
 from conftest import (
     random_design,
@@ -296,6 +297,37 @@ class TestPpcReplicates:
                                              n_keep=10, seed=1))
         reps = list(ppc_replicates(cs, design, rng=rng, draw_indices=[0, 4, 9]))
         assert len(reps) == 3
+
+    @pytest.mark.parametrize("kind", ["hmm", "markov"])
+    @pytest.mark.parametrize("mode", ["new_subjects", "same_subjects"])
+    def test_blocks_equal_one_draw_at_a_time(self, kind, mode):
+        # 11 draws: one full block and a partial one
+        assert 11 % analytics.PPC_BLOCK
+        rng = np.random.default_rng(61)
+        panel, design, _ = random_instance(rng, n_subjects=6, n_days=14,
+                                           missing_rate=0.2)
+        draws = [random_hmm_params(6, 3, 3, design.p, rng) if kind == "hmm"
+                 else random_markov_params(6, 3, design.p, rng) for _ in range(11)]
+        cs = chain_set_of(*draws)
+        reps = list(ppc_replicates(cs, design, mode=mode, mask=panel.mask,
+                                   rng=np.random.default_rng(5)))
+        assert len(reps) == 11
+        master = np.random.default_rng(5)
+        simulate = simulate_hmm if kind == "hmm" else simulate_markov
+        for g, rep in enumerate(reps):
+            params = cs.params_at(g)
+            if mode == "new_subjects":
+                params.alpha = (params.mu[None] + params.sigma[None]
+                                * master.standard_normal(params.alpha.shape))
+            ref = simulate(params, design, 6, 14, mask=panel.mask,
+                           seed=master.integers(2 ** 63))
+            np.testing.assert_array_equal(rep.observed.codes, ref.observed.codes)
+            np.testing.assert_array_equal(rep.observed.mask, panel.mask)
+            if kind == "hmm":
+                np.testing.assert_array_equal(rep.hidden, ref.hidden)
+            else:
+                assert rep.hidden is None
+            assert rep.seed == ref.seed
 
     def test_unknown_mode(self, rng):
         panel, design, params = random_instance(rng)

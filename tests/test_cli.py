@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -9,9 +10,12 @@ from panelhmm.cli import main
 from panelhmm.dataset import (
     DesignMatrix,
     ObservationPanel,
+    build_design,
+    load_covariates,
     load_observations,
     save_observations,
 )
+from panelhmm.inference import smoothed_marginals, viterbi
 from panelhmm.errors import NumericalError
 from panelhmm.model import save_params
 
@@ -453,6 +457,43 @@ class TestViterbiCommand:
         assert lines[1] == "subject,day,observed,state,p_state_1"
         assert len(lines) == 2 + 5 * 15
         assert {l.split(",")[3] for l in lines[2:]} == {"1"}
+
+    def test_file_equals_csv_writer_rows(self, workspace, tmp_path, monkeypatch):
+        # a missing token csv.writer must quote, and more subjects than
+        # one formatting block
+        y = tmp_path / "y.csv"
+        y.write_text((workspace / "y.csv").read_text().replace("NA", 'n"a'))
+        x, fit = str(workspace / "x.csv"), tmp_path / "fit"
+        assert main(["fit", "--y", str(y), "--x", x, "--missing-token", 'n"a',
+                     "--chains", "1", "--burnin", "2", "--keep", "2",
+                     "--out", str(fit)]) == 0
+        out = tmp_path / "vit"
+        monkeypatch.setattr(cli, "_SUBJECT_BLOCK", 2)
+        assert main(["viterbi", "--fit", str(fit), "--y", str(y), "--x", x,
+                     "--out", str(out)]) == 0
+        panel = load_observations(y, missing_token='n"a')
+        design = build_design(load_covariates(x), panel.n_days)
+        params = storage.load_chain_set(fit).posterior_mean_params()
+        paths = viterbi(panel, design, params)
+        marginals = smoothed_marginals(panel, design, params)
+        expected = io.StringIO(newline="")
+        expected.write(cli.SCHEMA_COMMENT + "\n")
+        writer = csv.writer(expected)
+        writer.writerow(["subject", "day", "observed", "state", "p_state_1",
+                         "p_state_2", "p_state_3"])
+        for i, path in enumerate(paths):
+            for t in range(panel.n_days):
+                writer.writerow([i, t + 1, 'n"a' if panel.mask[i, t]
+                                 else str(panel.codes[i, t]), int(path.states[t])]
+                                + [repr(float(p)) for p in marginals[i, t]])
+        assert '"n""a"' in expected.getvalue()
+        assert (out / "viterbi.csv").read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("value", ["NA", "", "a,b", 'q"', "two\nlines", " x"])
+    def test_csv_cell_is_what_csv_writer_writes(self, value):
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow(["0", value, "1"])
+        assert buf.getvalue() == f"0,{cli._csv_cell(value)},1\r\n"
 
     def test_markov_fit_rejected(self, workspace, tmp_path):
         out_fit = tmp_path / "mfit"

@@ -727,6 +727,14 @@ class TestChainPool:
         assert mcmc._chain_workers(1) == 1
         assert mcmc._chain_workers(2) == 2
         assert mcmc._chain_workers(3) == 3
+        # but no more than two per CPU, each holding a whole chain's draws;
+        # only the count is asked for, so no process starts
+        assert mcmc._chain_workers(4) == 4
+        assert mcmc._chain_workers(5) == 4
+        assert mcmc._chain_workers(64) == 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert mcmc._chain_workers(64) == 16
+        assert mcmc._chain_workers(3) == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert mcmc._chain_workers(3) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

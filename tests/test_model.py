@@ -11,6 +11,7 @@ from panelhmm.model import (
     params_from_text,
     params_to_text,
     save_params,
+    simulate_block,
     simulate_hmm,
     simulate_markov,
     softmax_rows,
@@ -179,6 +180,83 @@ class TestTransitions:
         params = random_hmm_params(1, 3, 3, 2, rng)
         panel = ObservationPanel(codes=np.array([[3]]), mask=np.array([[False]]))
         assert _hmm_factors(panel.codes, params.P)[0, 0, 1] == params.P[1, 2]
+
+
+def reference_simulation(params, design, n_subjects, n_days, seed):
+    """The direct algorithm: every transition matrix built up front, then
+    one day at a time, one categorical draw per subject from its row.
+    Returns (observed codes, hidden states or None)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(probs, u):
+        return (u[..., None] > np.cumsum(probs, axis=-1)).sum(axis=-1) + 1
+
+    R = params.n_states
+    Q = transition_matrices(params, design)[..., :n_subjects]
+    states = np.zeros((n_subjects, n_days), dtype=np.int64)
+    states[:, 0] = draw(np.broadcast_to(params.pi, (n_subjects, R)),
+                        rng.random(n_subjects))
+    for t in range(n_days - 1):
+        rows = Q[t, states[:, t] - 1, :, np.arange(n_subjects)]
+        states[:, t + 1] = draw(rows, rng.random(n_subjects))
+    if params.P is None:
+        return states, None
+    return draw(params.P[states - 1], rng.random(states.shape)), states
+
+
+def random_case(case):
+    """Parameters of either model, with a design and simulation sizes, some
+    smaller than the population and horizon; large logits on odd cases."""
+    rng = np.random.default_rng(case)
+    N, T = int(rng.integers(1, 30)), int(rng.integers(2, 25))
+    S, M, p = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    design = random_design(N, T, rng, p=p)
+    if case % 3:
+        params = random_hmm_params(N, S, M, p, rng)
+    else:
+        params = random_markov_params(N, M, p, rng)
+    if case % 2:
+        params.alpha *= 4.0
+        params.beta *= 4.0
+    return params, design, int(rng.integers(1, N + 1)), int(rng.integers(2, T + 1))
+
+
+class TestSimulationAgainstLoop:
+    @pytest.mark.parametrize("case", range(40))
+    def test_same_draws_as_direct_loop(self, case):
+        params, design, n, t = random_case(case)
+        simulate = simulate_markov if params.P is None else simulate_hmm
+        sim = simulate(params, design, n, t, seed=case)
+        codes, hidden = reference_simulation(params, design, n, t, case)
+        np.testing.assert_array_equal(sim.observed.codes, codes)
+        if hidden is None:
+            assert sim.hidden is None
+        else:
+            np.testing.assert_array_equal(sim.hidden, hidden)
+
+    @pytest.mark.parametrize("kind", ["hmm", "markov"])
+    def test_block_equals_one_at_a_time(self, rng, kind):
+        design = random_design(7, 13, rng)
+        block = [random_hmm_params(7, 3, 3, 2, rng) if kind == "hmm"
+                 else random_markov_params(7, 3, 2, rng) for _ in range(5)]
+        seeds = [int(s) for s in rng.integers(2 ** 63, size=5)]
+        mask = rng.random((6, 13)) < 0.2
+        sims = simulate_block(block, design, 6, 13, seeds, mask)
+        simulate = simulate_hmm if kind == "hmm" else simulate_markov
+        for params, seed, sim in zip(block, seeds, sims):
+            ref = simulate(params, design, 6, 13, mask=mask, seed=seed)
+            np.testing.assert_array_equal(sim.observed.codes, ref.observed.codes)
+            np.testing.assert_array_equal(sim.observed.mask, mask)
+            if kind == "hmm":
+                np.testing.assert_array_equal(sim.hidden, ref.hidden)
+            assert sim.seed == seed
+
+    def test_kind_must_match(self, rng):
+        design = random_design(3, 5, rng)
+        with pytest.raises(InputError):
+            simulate_hmm(random_markov_params(3, 3, 2, rng), design, 3, 5, seed=0)
+        with pytest.raises(InputError):
+            simulate_markov(random_hmm_params(3, 3, 3, 2, rng), design, 3, 5, seed=0)
 
 
 class TestSimulation:
