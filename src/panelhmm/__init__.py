@@ -17,13 +17,11 @@ from .errors import InputError, NumericalError, PanelHmmError
 from .model import (
     Params,
     SimulatedPanel,
-    simulate_hmm,
-    simulate_markov,
+    simulate,
 )
 from .inference import (
-    ffbs_sample_hidden,
-    log_likelihood_hmm,
-    log_likelihood_markov,
+    draw_complete_data,
+    log_likelihood,
     pointwise_predictive,
     smoothed_marginals,
     viterbi,

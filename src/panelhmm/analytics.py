@@ -15,7 +15,7 @@ import numpy as np
 from . import inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
-from .model import simulate_block, softmax_rows, transition_matrices
+from .model import simulate, softmax_rows, transition_matrices
 
 PPC_BLOCK = 8  # replicates simulated together: a few MB of arrays at paper scale
 
@@ -142,8 +142,8 @@ def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
     (typically the observed missingness pattern) is applied to every
     replicate so statistics ignore the same cells as the observed data.
     Replicates are simulated :data:`PPC_BLOCK` at a time by
-    :func:`model.simulate_block`; each is the panel ``simulate_hmm`` or
-    ``simulate_markov`` gives for its draw and seed.
+    :func:`model.simulate`; each is the panel a block of one gives for
+    its draw and seed.
     """
     if mode not in ("new_subjects", "same_subjects"):
         raise InputError(f"unknown replicate mode {mode!r}")
@@ -161,8 +161,8 @@ def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
                                 * rng.standard_normal(params.alpha.shape))
             block.append(params)
             seeds.append(rng.integers(2 ** 63))
-        yield from simulate_block(block, design, design.n_subjects,
-                                  design.n_days, seeds, mask)
+        yield from simulate(block, design, design.n_subjects, design.n_days,
+                            seeds, mask)
 
 
 def ppc_statistics(panel: ObservationPanel, block_length: int = 28) -> dict:

@@ -167,9 +167,18 @@ class DesignMatrix:
             raise InputError(f"unknown covariate {name!r}; have {self.names}") from None
 
 
-def _is_missing_token(cell: str, missing_token: str) -> bool:
-    cell = cell.strip()
-    return cell == "" or cell.lower() == missing_token.lower()
+def _cell_code(cell: str, missing_token: str, m_levels: int) -> int:
+    """Code of one stripped panel cell, 0 if it is missing; ValueError
+    if it is neither missing nor a code in ``1..m_levels``."""
+    if cell == "" or cell.lower() == missing_token.lower():
+        return 0
+    try:
+        value = int(cell)
+    except ValueError:
+        raise ValueError(f"invalid cell {cell!r}") from None
+    if not 1 <= value <= m_levels:
+        raise ValueError(f"code {value} outside 1..{m_levels}")
+    return value
 
 
 def load_observations(path, missing_token: str = "NA", m_levels: int = 3) -> ObservationPanel:
@@ -178,12 +187,13 @@ def load_observations(path, missing_token: str = "NA", m_levels: int = 3) -> Obs
     One row per subject, one column per day.  Cells are integer codes in
     ``1..m_levels`` or the missing token (case-insensitive; empty cells
     also count as missing).  Comma, whitespace, and semicolon delimiters
-    are detected automatically.
+    are detected automatically.  Each distinct cell text is parsed once.
 
     Raises
     ------
     InputError
-        On ragged rows, out-of-range codes, or an empty file.
+        On ragged rows, invalid cells, out-of-range codes, or an empty
+        file; the message cites the first faulty line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -197,31 +207,31 @@ def load_observations(path, missing_token: str = "NA", m_levels: int = 3) -> Obs
             cells = line.split(";")
         else:
             cells = line.split()
-        rows.append((lineno, [c.strip() for c in cells]))
+        rows.append((lineno, cells))
     if not rows:
         raise InputError(f"{path}: no data rows")
     width = len(rows[0][1])
-    codes = np.zeros((len(rows), width), dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for r, (lineno, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise InputError(
-                f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})"
-            )
-        for c, cell in enumerate(cells):
-            if _is_missing_token(cell, missing_token):
-                mask[r, c] = True
-                continue
-            try:
-                value = int(cell)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: invalid cell {cell!r}") from None
-            if not 1 <= value <= m_levels:
-                raise InputError(
-                    f"{path}:{lineno}: code {value} outside 1..{m_levels}"
-                )
-            codes[r, c] = value
-    return ObservationPanel(codes=codes, mask=mask, m_levels=m_levels)
+    ragged = next((r for r, (_, cells) in enumerate(rows) if len(cells) != width),
+                  len(rows))
+    lookup, faults = {}, {}  # cell text -> code (-1 if faulty) / error text
+    for cell in {c for _, cells in rows[:ragged] for c in cells}:
+        try:
+            lookup[cell] = _cell_code(cell.strip(), missing_token, m_levels)
+        except ValueError as exc:
+            lookup[cell], faults[cell] = -1, str(exc)
+    codes = np.array([[lookup[c] for c in cells] for _, cells in rows[:ragged]],
+                     dtype=np.int64)
+    bad = np.flatnonzero((codes < 0).any(axis=1))
+    if bad.size:  # a faulty cell comes before any ragged row
+        r = bad[0]
+        lineno, cells = rows[r]
+        raise InputError(f"{path}:{lineno}: {faults[cells[np.argmax(codes[r] < 0)]]}")
+    if ragged < len(rows):
+        lineno, cells = rows[ragged]
+        raise InputError(
+            f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})"
+        )
+    return ObservationPanel(codes=codes, mask=codes == 0, m_levels=m_levels)
 
 
 def save_observations(panel: ObservationPanel, path, missing_token: str = "NA") -> None:

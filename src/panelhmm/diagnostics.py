@@ -121,9 +121,7 @@ def deviance(panel, design, params) -> float:
     """-2 log p(Y_obs | theta) under the model ``params`` belong to (the
     HMM when they hold emissions ``P``); the random-effect prior terms
     are not included (theta enters only through alpha, beta, pi, and P)."""
-    loglik = (inference.log_likelihood_markov if params.P is None
-              else inference.log_likelihood_hmm)
-    return -2.0 * loglik(panel, design, params)
+    return -2.0 * inference.log_likelihood(panel, design, params)
 
 
 def dic(chain_set, panel, design) -> DicReport:

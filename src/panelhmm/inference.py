@@ -66,55 +66,42 @@ def _filter_all(L: np.ndarray, Q: np.ndarray, pi: np.ndarray):
     return filtered, scaling
 
 
-def _backward_smooth(L: np.ndarray, Q: np.ndarray, filtered: np.ndarray) -> np.ndarray:
-    """Smoothed marginals from the filtered pass (normalized per day), in
-    the layouts of :func:`_filter_all`; shape (T, R, N)."""
+def _backward_messages(L: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Backward messages beta[t, r] proportional to p(y after day t | row r
+    on day t), normalized per day, in the layouts of :func:`_filter_all`;
+    shape (T, R, N).  ``filtered * beta``, normalized per day, is the
+    smoothed marginal."""
     R, T, N = L.shape
-    smoothed = np.empty_like(filtered)
-    b = np.ones((R, N))
-    smoothed[T - 1] = filtered[T - 1]
+    beta = np.empty((T, R, N))
+    beta[T - 1] = 1.0 / R
     for t in range(T - 2, -1, -1):
-        b = np.einsum("rsn,sn->rn", Q[t], L[:, t + 1] * b)
+        b = np.einsum("rsn,sn->rn", Q[t], L[:, t + 1] * beta[t + 1])
         b_sum = b.sum(axis=0)
-        b = b / np.where(b_sum > 0, b_sum, 1.0)
-        s = filtered[t] * b
-        s_sum = s.sum(axis=0)
-        smoothed[t] = s / np.where(s_sum > 0, s_sum, 1.0)
-    return smoothed
+        beta[t] = b / np.where(b_sum > 0, b_sum, 1.0)
+    return beta
 
 
-def _expected_counts(labels: np.ndarray, A: np.ndarray, P: np.ndarray,
+def _expected_counts(codes: np.ndarray, A: np.ndarray, P: np.ndarray,
                      pi: np.ndarray) -> tuple:
-    """Baum-Welch E-step of one homogeneous HMM pooled over subjects, run
-    time-major on the (T, N) ``labels`` (0 on missing cells): one S x S
-    matmul steps all subjects a day.  Returns the log-likelihood and the
-    expected transition (S, S), emission (S, M) and initial (S,) counts."""
-    S = len(A)
-    ones = np.ones(S)
-    L = _hmm_factors(labels, P)  # (T, N, S)
-    filtered = np.empty_like(L)
-    scaling = np.empty(labels.shape)
-    for t in range(len(L)):
-        f = (filtered[t - 1] @ A if t else pi) * L[t]
-        c = f @ ones
-        safe = np.where(c > 0, c, 1.0)
-        filtered[t] = f / safe[:, None]
-        scaling[t] = c
-    gamma = np.empty_like(L)  # the normalized β until it becomes γ
-    gamma[-1] = 1.0 / S
-    for t in range(len(L) - 1, 0, -1):
-        L[t] *= gamma[t]  # L[1:] becomes L β
-        w = L[t] @ A.T
-        gamma[t - 1] = w / (w @ ones)[:, None]
-    gamma *= filtered
-    norm = gamma @ ones
-    gamma /= norm[..., None]
+    """Baum-Welch E-step of one homogeneous HMM pooled over subjects, on
+    the (N, T) ``codes`` (0 on missing cells), through the forward filter
+    and backward pass the sampler and smoothing use, with ``A`` broadcast
+    over days and subjects.  Returns the log-likelihood and the expected
+    transition (S, S), emission (S, M) and initial (S,) counts."""
+    (N, T), S = codes.shape, len(A)
+    L = _hmm_factors(codes, P).T  # (S, T, N)
+    Q = np.broadcast_to(A[None, :, :, None], (T - 1, S, S, N))
+    filtered, scaling = _filter_all(L, Q, pi)
+    beta = _backward_messages(L, Q)
+    gamma = filtered * beta
+    norm = gamma.sum(axis=1)  # (T, N)
+    gamma /= norm[:, None]
     # ξ[t] = filtered[t] ⊗ (L β)[t+1] * A / (c[t+1] Σ filtered[t+1] β[t+1])
-    filtered[:-1] /= (scaling[1:] * norm[1:])[..., None]
-    xi = A * (filtered[:-1].reshape(-1, S).T @ L[1:].reshape(-1, S))
-    emissions = np.array([np.bincount(labels.ravel(), gamma[..., s].ravel(),
+    w = filtered[:-1] / (scaling.T[1:] * norm[1:])[:, None]
+    xi = A * np.einsum("trn,tsn->rs", w, L[:, 1:].transpose(1, 0, 2) * beta[1:])
+    emissions = np.array([np.bincount(codes.T.ravel(), gamma[:, s].ravel(),
                                       P.shape[1] + 1)[1:] for s in range(S)])
-    return float(_log_scaling(scaling).sum()), xi, emissions, gamma[0].sum(axis=0)
+    return float(_log_scaling(scaling).sum()), xi, emissions, gamma[0].sum(axis=1)
 
 
 def _backward_sample_all(filtered: np.ndarray, Q: np.ndarray,
@@ -151,36 +138,34 @@ def _scaling(panel: ObservationPanel, design: DesignMatrix,
                        transition_matrices(params, design), params.pi)[1]
 
 
-def log_likelihood_hmm(panel: ObservationPanel, design: DesignMatrix,
-                       params: Params) -> float:
-    """log p(Y_obs | theta), hidden states marginalized exactly."""
+def log_likelihood(panel: ObservationPanel, design: DesignMatrix,
+                   params: Params) -> float:
+    """log p(Y_obs | theta) under the model ``params`` belong to: hidden
+    states marginalized exactly for the HMM; for the Markov model the
+    initial distribution enters at day 1, and missing runs are
+    marginalized through the multi-step transitions."""
     return float(_log_scaling(_scaling(panel, design, params)).sum())
 
 
-def log_likelihood_markov(panel: ObservationPanel, design: DesignMatrix,
-                          params: Params) -> float:
-    """Markov-model log-likelihood.
-
-    Missing runs are marginalized exactly via the multi-step transition
-    structure (the initial distribution enters at day 1 and is propagated
-    to the first observed cell).
-    """
-    return float(_log_scaling(_scaling(panel, design, params)).sum())
+# perfbench/checks.py still recomputes deviances through these two names;
+# drop them when it calls diagnostics.deviance instead (ROADMAP item 9).
+log_likelihood_hmm = log_likelihood_markov = log_likelihood
 
 
-def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
-                              params, rng: np.random.Generator) -> tuple:
+def draw_complete_data(panel: ObservationPanel, design: DesignMatrix,
+                       params: Params, rng: np.random.Generator) -> tuple:
     """One data-augmentation draw, log p(Y_obs | params) and the
     transition logits, the first two from a single forward filter.
 
-    HMM parameters give the hidden grid of :func:`ffbs_sample_hidden`;
-    Markov parameters give the complete panel with every missing run
-    imputed and observed cells unchanged.  The log-likelihood is the same
-    filter's scaling factors summed the same way as in
-    :func:`log_likelihood_hmm` / :func:`log_likelihood_markov`, so it equals
-    them bit for bit.  The (T-1, R, K, N) logits of
-    :func:`model.transition_logits` are returned for the parameter updates
-    that follow the draw.
+    HMM parameters give a hidden-state grid drawn from p(H | Y_obs, theta),
+    with states on every day, missing days included; Markov parameters
+    give the complete panel with every missing run imputed from its exact
+    conditional given the flanking observed values, and observed cells
+    unchanged.  Either is an (N, T) array of 1-based values.  The
+    log-likelihood is the same filter's scaling factors summed the same
+    way as in :func:`log_likelihood`, so it equals it bit for bit.  The
+    (T-1, R, K, N) logits of :func:`model.transition_logits` are returned
+    for the parameter updates that follow the draw.
     """
     eta = transition_logits(params, design)
     Q = softmax_rows(eta, axis=2)
@@ -192,23 +177,14 @@ def _draw_with_log_likelihood(panel: ObservationPanel, design: DesignMatrix,
     return draw, float(_log_scaling(scaling).sum()), eta
 
 
-def ffbs_sample_hidden(panel: ObservationPanel, design: DesignMatrix,
-                       params: Params, rng: np.random.Generator) -> np.ndarray:
-    """Draw the hidden-state grid from p(H | Y_obs, theta).
-
-    States are drawn for every day, including days with missing
-    observations.  Returns an (N, T) array of 1-based states.
-    """
-    return _draw_with_log_likelihood(panel, design, params, rng)[0]
-
-
 def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
                        params: Params) -> np.ndarray:
     """Exact p(H_it = s | Y_obs, theta), shape (N, T, S)."""
     L = _factors(panel, params)
     Q = transition_matrices(params, design)
-    filtered, _ = _filter_all(L, Q, params.pi)
-    return _backward_smooth(L, Q, filtered).transpose(2, 0, 1)
+    smoothed = _filter_all(L, Q, params.pi)[0] * _backward_messages(L, Q)
+    total = smoothed.sum(axis=1, keepdims=True)
+    return (smoothed / np.where(total > 0, total, 1.0)).transpose(2, 0, 1)
 
 
 def viterbi(panel: ObservationPanel, design: DesignMatrix,

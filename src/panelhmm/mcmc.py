@@ -38,6 +38,8 @@ from .model import Params, inverse_softmax
 
 TARGET_ACCEPTANCE = 0.44  # optimal for univariate random-walk proposals
 START_STEPS = {"alpha": 0.4, "beta": 0.1}  # random-walk sds before adaptation
+SCALE_STEP = 0.3  # sd of the log scale factor in update_scale_joint
+LOCATION_STEP = 0.15  # sd of the shift in update_location_joint
 _ADAPT_BATCH = 50
 _DIRICHLET = 1.0  # uniform Dirichlet prior on pi and the emission rows
 
@@ -205,7 +207,7 @@ def em_initialize(panel: ObservationPanel, S: int, tol: float = 1e-8,
     A, P, pi = _em_start(S, panel.m_levels)
     lls = []
     for _ in range(max_iter):
-        ll, xi, emissions, initial = inference._expected_counts(panel.codes.T, A, P, pi)
+        ll, xi, emissions, initial = inference._expected_counts(panel.codes, A, P, pi)
         lls.append(ll)
         A = xi / xi.sum(axis=1, keepdims=True)
         P = emissions / np.clip(emissions.sum(axis=1, keepdims=True), 1e-300, None)
@@ -395,10 +397,10 @@ def update_mu(params, prior: PriorSpec, rng: np.random.Generator) -> None:
 
 
 def update_sigma(params, prior: PriorSpec, rng: np.random.Generator) -> None:
-    """Exact scaled-inverse-chi-squared draw of every intercept variance."""
+    """Exact scaled-inverse-chi-squared draw of every intercept variance;
+    :meth:`PriorSpec.sigma_conditional` rejects a prior and subject count
+    that leave it undefined."""
     N = params.alpha.shape[0]
-    if N < 2 and prior.sigma_prior != "inv-chisq":
-        raise InputError("sigma update needs at least 2 subjects")
     ss = ((params.alpha - params.mu[None]) ** 2).sum(axis=0)
     R, K = params.mu.shape
     for r in range(R):
@@ -417,7 +419,7 @@ def _log_prior_sigma(prior: PriorSpec, sigma: float) -> float:
 
 
 def update_scale_joint(params, rows: list, prior: PriorSpec,
-                       rng: np.random.Generator, step: float = 0.3) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Joint rescaling of each (row, target) intercept block with its sd.
 
     Proposes sigma' = sigma * e^eps and moves every deviation alpha_i - mu
@@ -430,7 +432,7 @@ def update_scale_joint(params, rows: list, prior: PriorSpec,
     acc = np.zeros(params.mu.shape)
     for data, r, k in _blocks(rows):
         sigma_old = params.sigma[r, k]
-        factor = float(np.exp(step * rng.standard_normal()))
+        factor = float(np.exp(SCALE_STEP * rng.standard_normal()))
         sigma_new = sigma_old * factor
         d = (factor - 1.0) * (params.alpha[:, r, k] - params.mu[r, k])
         eta_k, log_denom, dll = data.propose(k, d[data.i_arr])
@@ -447,14 +449,14 @@ def update_scale_joint(params, rows: list, prior: PriorSpec,
 
 
 def update_location_joint(params, rows: list, prior: PriorSpec,
-                          rng: np.random.Generator, step: float = 0.15) -> np.ndarray:
+                          rng: np.random.Generator) -> np.ndarray:
     """Joint translation of each (row, target) block: mu and every
     intercept shift by the same amount, so the hierarchical prior terms
     are unchanged and only the likelihood and the mu prior enter.
     Returns the (R, K) acceptance indicators."""
     acc = np.zeros(params.mu.shape)
     for data, r, k in _blocks(rows):
-        d = step * rng.standard_normal()
+        d = LOCATION_STEP * rng.standard_normal()
         eta_k, log_denom, dll = data.propose(k, d)
         mu_old = params.mu[r, k]
         mu_new = mu_old + d
@@ -488,14 +490,6 @@ def update_emissions(params: Params, hidden: np.ndarray,
         params.P[s] = rng.dirichlet(_DIRICHLET + counts[s])
 
 
-def sample_missing_y(params: Params, panel: ObservationPanel,
-                     design: DesignMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Impute every missing run from its exact conditional given the
-    flanking observed values (forward filter / backward sample over the
-    observation-level chain).  Observed cells are returned unchanged."""
-    return inference._draw_with_log_likelihood(panel, design, params, rng)[0]
-
-
 # -- chain orchestration ----------------------------------------------------
 
 def _sweep(params, panel: ObservationPanel, design: DesignMatrix,
@@ -511,7 +505,7 @@ def _sweep(params, panel: ObservationPanel, design: DesignMatrix,
     log-likelihood of the parameters the sweep started from and the two
     moves' acceptance, keyed the same way.
     """
-    seq, loglik, eta = inference._draw_with_log_likelihood(panel, design, params, rng)
+    seq, loglik, eta = inference.draw_complete_data(panel, design, params, rng)
     rows = _row_caches(seq, design, eta)
     acc = {"alpha": update_alpha(params, rows, rng, steps["alpha"]),
            "beta": update_beta(params, rows, prior, rng, steps["beta"])}

@@ -206,11 +206,14 @@ def _categorical(cum, u: np.ndarray) -> np.ndarray:
     return draw
 
 
-def simulate_block(block: list, design: DesignMatrix, n_subjects: int,
-                   n_days: int, seeds: list, mask: np.ndarray | None = None) -> list:
+def simulate(block: list, design: DesignMatrix, n_subjects: int,
+             n_days: int, seeds: list, mask: np.ndarray | None = None) -> list:
     """Forward-simulate one panel per (params, seed) pair of ``block``, all
-    of one model, as :class:`SimulatedPanel` objects.
+    of one model kind, as :class:`SimulatedPanel` objects; one replicate
+    is a block of one.
 
+    For HMM parameters the hidden states are simulated and emit the
+    observations; for Markov parameters the chain is the observations.
     Each replicate draws from its own ``default_rng(seed)``: ``random(N)``
     for the first day, ``random((T-1, N))`` for the transitions and, for
     the HMM, ``random((N, T))`` for the emissions, so a replicate is the
@@ -220,6 +223,8 @@ def simulate_block(block: list, design: DesignMatrix, n_subjects: int,
     :func:`softmax_rows`.  Cells under ``mask`` are reported missing, but
     their hidden states (and latent levels) are simulated.
     """
+    if len({params.P is None for params in block}) > 1:
+        raise InputError("a simulation block mixes HMM and Markov parameters")
     if (n_subjects > min(params.n_subjects for params in block)
             or n_subjects > design.n_subjects):
         raise InputError("n_subjects exceeds the parameter/design population")
@@ -268,29 +273,6 @@ def _masked_panel(codes: np.ndarray, mask, m_levels: int) -> ObservationPanel:
     if mask.shape != codes.shape:
         raise InputError("mask shape must match the simulated panel")
     return ObservationPanel(codes=codes, mask=mask, m_levels=m_levels)
-
-
-def simulate_hmm(params: Params, design: DesignMatrix, n_subjects: int,
-                 n_days: int, mask: np.ndarray | None = None,
-                 seed=None) -> SimulatedPanel:
-    """Forward-simulate hidden states and observations.
-
-    Hidden states and observations are simulated for every cell; cells
-    under ``mask`` are reported missing in the observed panel but their
-    hidden states are kept.  Fully reproducible from ``seed``.
-    """
-    if params.P is None:
-        raise InputError("simulate_hmm needs HMM parameters (with emissions P)")
-    return simulate_block([params], design, n_subjects, n_days, [seed], mask)[0]
-
-
-def simulate_markov(params: Params, design: DesignMatrix, n_subjects: int,
-                    n_days: int, mask: np.ndarray | None = None,
-                    seed=None) -> SimulatedPanel:
-    """Forward-simulate the observation-level Markov chain."""
-    if params.P is not None:
-        raise InputError("simulate_markov needs Markov parameters (no emissions P)")
-    return simulate_block([params], design, n_subjects, n_days, [seed], mask)[0]
 
 
 # -- flat key-value parameter serialization ---------------------------------

@@ -28,10 +28,9 @@ from panelhmm.diagnostics import (
     potential_scale_reduction,
 )
 from panelhmm.inference import (
-    ffbs_sample_hidden,
+    draw_complete_data,
     log_joint_hmm,
-    log_likelihood_hmm,
-    log_likelihood_markov,
+    log_likelihood,
     viterbi,
 )
 from panelhmm.mcmc import (
@@ -49,7 +48,7 @@ from panelhmm.mcmc import (
 from panelhmm.model import (
     Params,
     inverse_softmax,
-    simulate_hmm,
+    simulate,
     softmax_rows,
     transition_matrices,
 )
@@ -110,7 +109,7 @@ def test_criterion_01_likelihood_oracle(oracle_instances):
     elapsed = 0.0
     for panel, design, params, _, probs in oracle_instances:
         t0 = time.perf_counter()
-        got = np.exp(log_likelihood_hmm(panel, design, params))
+        got = np.exp(log_likelihood(panel, design, params))
         elapsed += time.perf_counter() - t0
         worst = max(worst, abs(got - probs.sum()) / probs.sum())
     _verdict(1, f"likelihood matches path enumeration on 50 instances "
@@ -150,7 +149,7 @@ def test_criterion_03_ffbs_exactness():
     big_params = params.copy()
     big_params.alpha = np.repeat(params.alpha, n_draws, axis=0)
     t0 = time.perf_counter()
-    draws = ffbs_sample_hidden(big_panel, big_design, big_params, rng)
+    draws = draw_complete_data(big_panel, big_design, big_params, rng)[0]
     elapsed = time.perf_counter() - t0
     counts = np.zeros(len(paths))
     for h in draws:
@@ -233,8 +232,7 @@ def test_criterion_05_joint_distribution_validation():
     records = {name: [] for name in
                ("mu", "beta", "sigma2", "pi", "P", "alpha")}
     for sweep in range(n_sweeps):
-        sim = simulate_hmm(params, design, N, T,
-                           seed=int(rng.integers(2 ** 63)))
+        sim = simulate([params], design, N, T, [int(rng.integers(2 ** 63))])[0]
         panel = sim.observed
         mcmc._sweep(params, panel, design, prior, rng,
                     {"alpha": np.full((S, S - 1), 1.2),
@@ -290,7 +288,7 @@ def test_criterion_06_synthetic_recovery():
         pi=np.array([0.50, 0.30, 0.20]), P=P_true,
     )
     mask = rng.random((N, T)) < 0.15  # missing completely at random
-    sim = simulate_hmm(truth, design, N, T, mask=mask, seed=66)
+    sim = simulate([truth], design, N, T, [66], mask)[0]
     t0 = time.perf_counter()
     config = SamplerConfig(n_chains=3, n_burnin=2000, n_keep=2000, seed=60)
     cs = run_chains("hmm", sim.observed, design, config=config)
@@ -350,8 +348,7 @@ def test_criterion_07_stationary_solver():
 def test_criterion_08_dic_identity(small_fits):
     panel, design, hmm, markov = small_fits
     ok = True
-    for cs, loglik in ((hmm, log_likelihood_hmm),
-                       (markov, log_likelihood_markov)):
+    for cs in (hmm, markov):
         report = dic(cs, panel, design)
         ok = ok and abs(report.p_d - (report.mean_deviance
                                       - report.deviance_at_mean)) < 1e-12
@@ -359,7 +356,7 @@ def test_criterion_08_dic_identity(small_fits):
                                       + report.p_d)) < 1e-12
         for chain in cs.chains:
             for g in range(chain.n_kept):
-                recomputed = -2.0 * loglik(panel, design, chain.params_at(g))
+                recomputed = -2.0 * log_likelihood(panel, design, chain.params_at(g))
                 ok = ok and abs(chain.deviance[g] - recomputed) < 1e-8
     _verdict(8, "DIC identities hold to 1e-12 and stored deviances match "
                 "recomputed log-likelihoods to 1e-8 on both models", ok)
@@ -403,8 +400,8 @@ def test_criterion_10_ppc_calibration():
             P=np.stack([rng.dirichlet(1.0 + 8.0 * np.eye(3)[s])
                         for s in range(3)]),
         )
-        observed = simulate_hmm(params, design, N, T,
-                                seed=int(rng.integers(2 ** 63))).observed
+        observed = simulate([params], design, N, T,
+                            [int(rng.integers(2 ** 63))])[0].observed
         cs = _one_draw_chain_set(params)
         stat_obs = {k: v for k, v in ppc_statistics(observed).items()
                     if k.startswith("block")}

@@ -17,7 +17,7 @@ from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
 from panelhmm.inference import pointwise_predictive
 from panelhmm.mcmc import Chain, ChainSet, SamplerConfig, run_chains
-from panelhmm.model import simulate_hmm, simulate_markov, softmax_rows
+from panelhmm.model import simulate, softmax_rows
 
 from conftest import (
     random_design,
@@ -313,14 +313,13 @@ class TestPpcReplicates:
                                    rng=np.random.default_rng(5)))
         assert len(reps) == 11
         master = np.random.default_rng(5)
-        simulate = simulate_hmm if kind == "hmm" else simulate_markov
         for g, rep in enumerate(reps):
             params = cs.params_at(g)
             if mode == "new_subjects":
                 params.alpha = (params.mu[None] + params.sigma[None]
                                 * master.standard_normal(params.alpha.shape))
-            ref = simulate(params, design, 6, 14, mask=panel.mask,
-                           seed=master.integers(2 ** 63))
+            ref = simulate([params], design, 6, 14, [master.integers(2 ** 63)],
+                           panel.mask)[0]
             np.testing.assert_array_equal(rep.observed.codes, ref.observed.codes)
             np.testing.assert_array_equal(rep.observed.mask, panel.mask)
             if kind == "hmm":

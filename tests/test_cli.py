@@ -39,8 +39,8 @@ def workspace(tmp_path_factory):
     params = random_hmm_params(N, 3, 3, design.p, rng, concentrated=True)
     params_path = root / "params.txt"
     save_params(params, params_path)
-    from panelhmm.model import simulate_hmm
-    sim = simulate_hmm(params, design, N, T, seed=1)
+    from panelhmm.model import simulate
+    sim = simulate([params], design, N, T, [1])[0]
     mask = rng.random((N, T)) < 0.1
     panel = ObservationPanel(codes=np.where(mask, 0, sim.observed.codes),
                              mask=mask)

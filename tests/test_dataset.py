@@ -115,6 +115,15 @@ class TestLoadObservations:
         path.write_text("1,2,x\n")
         with pytest.raises(InputError, match="'x'"):
             load_observations(path)
+        # the first faulty line in file order is reported, whatever its fault
+        for text, message in (("1,2,3\n1,2,3\n3,x ,1\n", ":3: invalid cell 'x'"),
+                              ("1,2,3\n1,x,3\n1,2\n", ":2: invalid cell 'x'"),
+                              ("1,2,3\n1,2\n1,x,3\n", r":2: ragged row \(2 cells"),
+                              ("1,2,3\n\n1,x,7\n1,9,3\n", ":3: invalid cell 'x'"),
+                              ("1,NA,3\n1,2,7\n2,x,3\n", ":2: code 7 outside")):
+            path.write_text(text)
+            with pytest.raises(InputError, match=message):
+                load_observations(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "y.csv"

@@ -10,7 +10,7 @@ from panelhmm.diagnostics import (
     scalar_summaries,
 )
 from panelhmm.errors import InputError, NumericalError
-from panelhmm.inference import log_likelihood_hmm, log_likelihood_markov
+from panelhmm.inference import log_likelihood
 from panelhmm.mcmc import Chain, ChainSet, SamplerConfig, run_chains
 from panelhmm.model import param_paths
 
@@ -108,10 +108,9 @@ class TestDic:
         # the parameters decide the likelihood: HMM with P, Markov without
         panel, design, params = random_instance(rng, n_subjects=3, n_days=8)
         markov = random_markov_params(3, 3, design.p, rng)
-        for theta, loglik in ((params, log_likelihood_hmm),
-                              (markov, log_likelihood_markov)):
+        for theta in (params, markov):
             assert deviance(panel, design, theta) == \
-                -2.0 * loglik(panel, design, theta)
+                -2.0 * log_likelihood(panel, design, theta)
         assert deviance(panel, design, params) != deviance(panel, design, markov)
 
     def test_identities_exact(self, fit):

@@ -5,14 +5,12 @@ import pytest
 
 from panelhmm.dataset import DesignMatrix, ObservationPanel
 from panelhmm.inference import (
-    _draw_with_log_likelihood,
     _expected_counts,
     _filter_all,
     _hmm_factors,
-    ffbs_sample_hidden,
+    draw_complete_data,
     log_joint_hmm,
-    log_likelihood_hmm,
-    log_likelihood_markov,
+    log_likelihood,
     pointwise_predictive,
     smoothed_marginals,
     viterbi,
@@ -39,12 +37,12 @@ class TestLikelihoodOracle:
                 rng, n_subjects=1, n_days=T, S=S, M=3)
             _, probs = enumerate_paths(panel, design, params)
             expected = np.log(probs.sum())
-            got = log_likelihood_hmm(panel, design, params)
+            got = log_likelihood(panel, design, params)
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_multi_subject_sums_contributions(self, rng):
         panel, design, params = random_instance(rng, n_subjects=4, n_days=5)
-        total = log_likelihood_hmm(panel, design, params)
+        total = log_likelihood(panel, design, params)
         parts = 0.0
         for i in range(4):
             sub_panel = ObservationPanel(codes=panel.codes[i:i + 1],
@@ -53,7 +51,7 @@ class TestLikelihoodOracle:
                                       standardizations=(), names=design.names)
             sub_params = params.copy()
             sub_params.alpha = params.alpha[i:i + 1]
-            parts += log_likelihood_hmm(sub_panel, sub_design, sub_params)
+            parts += log_likelihood(sub_panel, sub_design, sub_params)
         assert total == pytest.approx(parts, rel=1e-12)
 
     def test_all_missing_subject_contributes_zero(self, rng):
@@ -61,7 +59,7 @@ class TestLikelihoodOracle:
                                                 missing_rate=0.0)
         blank = ObservationPanel(codes=np.zeros_like(panel.codes),
                                  mask=np.ones_like(panel.mask))
-        assert log_likelihood_hmm(blank, design, params) == 0.0
+        assert log_likelihood(blank, design, params) == 0.0
 
     def test_missing_day_equals_level_marginalization(self, rng):
         # a missing cell must equal the sum of likelihoods over its values
@@ -75,9 +73,9 @@ class TestLikelihoodOracle:
         for v in range(1, 4):
             filled = codes.copy()
             filled[0, 2] = v
-            total += np.exp(log_likelihood_hmm(
+            total += np.exp(log_likelihood(
                 ObservationPanel(codes=filled, mask=panel.mask), design, params))
-        assert np.exp(log_likelihood_hmm(holed, design, params)) == \
+        assert np.exp(log_likelihood(holed, design, params)) == \
             pytest.approx(total, rel=1e-10)
 
 
@@ -109,7 +107,7 @@ class TestSmoothing:
         np.testing.assert_allclose(filtered.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(smoothed.sum(axis=2), 1.0, atol=1e-12)
         assert np.log(scaling).sum() == pytest.approx(
-            log_likelihood_hmm(panel, design, params))
+            log_likelihood(panel, design, params))
 
 
 class TestExpectedCounts:
@@ -126,8 +124,7 @@ class TestExpectedCounts:
         mask[0, [1, 2]] = mask[1, 4] = True
         mask[2] = True  # a subject with every day missing
         codes = np.where(mask, 0, rng.integers(1, M + 1, size=(N, T)))
-        ll, xi, emissions, initial = _expected_counts(
-            np.ascontiguousarray(codes.T), A, P, pi)
+        ll, xi, emissions, initial = _expected_counts(codes, A, P, pi)
         paths = np.array(list(itertools.product(range(S), repeat=T)))
         want_ll, want_xi = 0.0, np.zeros((S, S))
         want_em, want_init = np.zeros((S, M)), np.zeros(S)
@@ -230,7 +227,7 @@ class TestFfbs:
         counts = np.zeros(len(paths))
         draws = 40_000
         for _ in range(draws):
-            h = ffbs_sample_hidden(panel, design, params, rng)[0]
+            h = draw_complete_data(panel, design, params, rng)[0][0]
             counts[index[tuple(h)]] += 1
         tv = 0.5 * np.abs(counts / draws - probs).sum()
         assert tv < 0.01
@@ -240,7 +237,7 @@ class TestFfbs:
                                                 missing_rate=0.0)
         params.P[...] = np.eye(3)  # observation pins the state exactly
         params.P[...] = params.P * 0.9994 + 0.0002
-        h = ffbs_sample_hidden(panel, design, params, rng)
+        h = draw_complete_data(panel, design, params, rng)[0]
         assert (h == panel.codes).mean() > 0.95
 
 
@@ -290,7 +287,7 @@ class TestDataStepLayout:
         mask[3, 1:11:2] = True  # isolated days
         codes = np.where(mask, 0, rng.integers(1, 4, (N, T)))
         panel = ObservationPanel(codes=codes, mask=mask)
-        draw, loglik, _ = _draw_with_log_likelihood(
+        draw, loglik, _ = draw_complete_data(
             panel, design, params, np.random.default_rng(5))
         expected, expected_ll = _data_step_by_loops(
             panel, design, params, np.random.default_rng(5).random((N, T)))
@@ -310,7 +307,7 @@ class TestMarkovLikelihood:
             expected += np.log(params.pi[codes[i, 0] - 1])
             for t in range(5):
                 expected += np.log(Q[t, codes[i, t] - 1, codes[i, t + 1] - 1, i])
-        assert log_likelihood_markov(panel, design, params) == \
+        assert log_likelihood(panel, design, params) == \
             pytest.approx(expected, rel=1e-12)
 
     def test_gap_marginalization_equals_multi_step(self, rng):
@@ -329,7 +326,7 @@ class TestMarkovLikelihood:
             for t in range(4):
                 complete *= Q[t, y[t] - 1, y[t + 1] - 1, 0]
             total += complete
-        got = np.exp(log_likelihood_markov(panel, design, params))
+        got = np.exp(log_likelihood(panel, design, params))
         assert got == pytest.approx(total, rel=1e-10)
 
     def test_leading_missing_uses_initial_distribution(self, rng):
@@ -339,7 +336,7 @@ class TestMarkovLikelihood:
                                  mask=np.array([[True, True, False]]))
         Q = transition_matrices(params, design)
         expected = (params.pi @ Q[0, :, :, 0] @ Q[1, :, :, 0])[1]
-        got = np.exp(log_likelihood_markov(panel, design, params))
+        got = np.exp(log_likelihood(panel, design, params))
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -350,7 +347,7 @@ class TestPointwisePredictive:
                                                 missing_rate=0.0)
         probs = pointwise_predictive(panel, design, params)
         assert np.log(probs).sum() == pytest.approx(
-            log_likelihood_hmm(panel, design, params), rel=1e-10)
+            log_likelihood(panel, design, params), rel=1e-10)
 
     def test_markov_chain_rule(self, rng):
         design = random_design(3, 7, rng)
@@ -359,7 +356,7 @@ class TestPointwisePredictive:
         panel = ObservationPanel(codes=codes, mask=np.zeros((3, 7), bool))
         probs = pointwise_predictive(panel, design, params)
         assert np.log(probs).sum() == pytest.approx(
-            log_likelihood_markov(panel, design, params), rel=1e-10)
+            log_likelihood(panel, design, params), rel=1e-10)
 
     def test_missing_cells_are_nan(self, rng):
         panel, design, params = random_instance(rng, n_subjects=4, n_days=8,

@@ -20,7 +20,6 @@ from panelhmm.mcmc import (
     init_chain,
     run_chain,
     run_chains,
-    sample_missing_y,
     sample_params_from_prior,
     update_alpha,
     update_beta,
@@ -31,11 +30,11 @@ from panelhmm.mcmc import (
     update_scale_joint,
     update_sigma,
 )
-from panelhmm.inference import log_likelihood_hmm, log_likelihood_markov
+from panelhmm.inference import draw_complete_data, log_likelihood
 from panelhmm.model import (
     Params,
     inverse_softmax,
-    simulate_markov,
+    simulate,
     softmax_rows,
     transition_logits,
     transition_matrices,
@@ -117,6 +116,12 @@ class TestConjugateUpdates:
         # ss / sigma^2 should be chi^2 with N - 1 degrees of freedom
         p = stats.kstest(ss / draws ** 2, "chi2", args=(9,)).pvalue
         assert p > KS_ALPHA
+
+    def test_sigma_needs_two_subjects_under_flat_prior(self, rng):
+        # the flat-sigma conditional has N - 1 degrees of freedom
+        params = random_hmm_params(1, 3, 3, 2, rng)
+        with pytest.raises(InputError, match="1 subjects with flat-sigma"):
+            update_sigma(params, PriorSpec(), rng)
 
     def test_pi_dirichlet_counts(self, rng):
         params = random_hmm_params(4, 3, 3, 2, rng)
@@ -327,7 +332,7 @@ class TestRowCache:
                                                 missing_rate=0.2)
         if kind == "markov":
             params.P = None
-        seq, _, eta = inference._draw_with_log_likelihood(panel, design, params, rng)
+        seq, _, eta = draw_complete_data(panel, design, params, rng)
         rows = mcmc._row_caches(seq, design, eta)
         assert len(rows) == params.n_states
         for r, data in enumerate(rows):
@@ -361,23 +366,24 @@ class TestJointBlockMoves:
                                                 missing_rate=0.0)
         return panel.codes, design, params
 
-    def test_scale_move_preserves_standardized_deviations(self, rng):
+    def test_scale_move_preserves_standardized_deviations(self, rng, monkeypatch):
         seq, design, params = self._instance(rng)
         before = (params.alpha - params.mu[None]) / params.sigma[None]
-        update_scale_joint(params, row_caches(params, seq, design), PriorSpec(),
-                           rng, step=0.5)
+        monkeypatch.setattr(mcmc, "SCALE_STEP", 0.5)
+        update_scale_joint(params, row_caches(params, seq, design), PriorSpec(), rng)
         after = (params.alpha - params.mu[None]) / params.sigma[None]
         np.testing.assert_allclose(after, before, atol=1e-10)
 
-    def test_location_move_preserves_deviations(self, rng):
+    def test_location_move_preserves_deviations(self, rng, monkeypatch):
         seq, design, params = self._instance(rng)
         before = params.alpha - params.mu[None]
+        monkeypatch.setattr(mcmc, "LOCATION_STEP", 0.5)
         update_location_joint(params, row_caches(params, seq, design), PriorSpec(),
-                              rng, step=0.5)
+                              rng)
         after = params.alpha - params.mu[None]
         np.testing.assert_allclose(after, before, atol=1e-10)
 
-    def test_scale_move_leaves_prior_invariant(self):
+    def test_scale_move_leaves_prior_invariant(self, monkeypatch):
         # [DERIVED] on a row with no data the move must preserve the joint
         # prior of (alpha, sigma), so one step from a prior draw keeps the
         # sigma^2 marginal scaled inverse chi-squared
@@ -388,6 +394,7 @@ class TestJointBlockMoves:
         N = 5
         design = random_design(N, 4, rng)
         seq = rng.integers(1, 3, size=(N, 4))  # row 3 never visited
+        monkeypatch.setattr(mcmc, "SCALE_STEP", 0.6)
         reps = 4000
         out = np.empty(reps)
         for j in range(reps):
@@ -397,13 +404,12 @@ class TestJointBlockMoves:
             params.alpha[:, 2, 0] = (params.mu[2, 0]
                                      + params.sigma[2, 0]
                                      * rng.standard_normal(N))
-            update_scale_joint(params, row_caches(params, seq, design), prior, rng,
-                               step=0.6)
+            update_scale_joint(params, row_caches(params, seq, design), prior, rng)
             out[j] = params.sigma[2, 0] ** 2
         p = stats.kstest(nu0 * s0sq / out, "chi2", args=(nu0,)).pvalue
         assert p > KS_ALPHA
 
-    def test_location_move_leaves_prior_invariant(self):
+    def test_location_move_leaves_prior_invariant(self, monkeypatch):
         # [DERIVED] same scheme for the translation move: the mu marginal
         # must stay N(0, mu_sd^2) after one step from a prior draw
         rng = np.random.default_rng(223)
@@ -411,6 +417,7 @@ class TestJointBlockMoves:
         N = 5
         design = random_design(N, 4, rng)
         seq = rng.integers(1, 3, size=(N, 4))
+        monkeypatch.setattr(mcmc, "LOCATION_STEP", 0.7)
         reps = 4000
         out = np.empty(reps)
         for j in range(reps):
@@ -420,7 +427,7 @@ class TestJointBlockMoves:
                                      + params.sigma[2, 0]
                                      * rng.standard_normal(N))
             update_location_joint(params, row_caches(params, seq, design), prior,
-                                  rng, step=0.7)
+                                  rng)
             out[j] = params.mu[2, 0]
         p = stats.kstest(out, "norm", args=(0.0, prior.mu_sd)).pvalue
         assert p > KS_ALPHA
@@ -446,8 +453,7 @@ class TestEmInitialize:
         params = random_hmm_params(40, 3, 3, 2, rng, concentrated=True)
         params.alpha[...] = params.mu[None]
         params.beta[...] = 0.0
-        from panelhmm.model import simulate_hmm
-        sim = simulate_hmm(params, design, 40, 60, seed=9)
+        sim = simulate([params], design, 40, 60, [9])[0]
         fit = em_initialize(sim.observed, S=3)
         # up to label order; pooling over heterogeneous subjects blurs the
         # rows somewhat, so require dominance rather than near-identity
@@ -469,7 +475,7 @@ class TestEmInitialize:
         fit = em_initialize(panel, S=2, max_iter=1)
         assert len(fit.log_likelihoods) == 1
         assert fit.log_likelihoods[0] == pytest.approx(
-            log_likelihood_hmm(panel, random_design(3, 5, rng), start),
+            log_likelihood(panel, random_design(3, 5, rng), start),
             rel=1e-12, abs=0)
 
     def test_unseen_level_gets_zero_emission(self, rng):
@@ -551,7 +557,7 @@ class TestMissingImputation:
         codes = rng.integers(1, 4, (6, 15))
         mask = rng.random((6, 15)) < 0.3
         panel = ObservationPanel(codes=np.where(mask, 0, codes), mask=mask)
-        complete = sample_missing_y(params, panel, design, rng)
+        complete = draw_complete_data(panel, design, params, rng)[0]
         obs = ~mask
         np.testing.assert_array_equal(complete[obs], panel.codes[obs])
         assert np.all(complete >= 1) and np.all(complete <= 3)
@@ -568,7 +574,7 @@ class TestMissingImputation:
         counts = np.zeros(3)
         n = 30_000
         for _ in range(n):
-            v = sample_missing_y(params, panel, design, rng)[0, 1]
+            v = draw_complete_data(panel, design, params, rng)[0][0, 1]
             counts[v - 1] += 1
         tv = 0.5 * np.abs(counts / n - weights).sum()
         assert tv < 0.01
@@ -596,8 +602,8 @@ class TestMarkovJointDistribution:
                  "beta": np.full((M, M - 1, p), 0.8)}
         records = {name: [] for name in ("mu", "beta", "sigma2", "pi", "alpha")}
         for sweep in range(n_sweeps):
-            panel = simulate_markov(params, design, N, T, mask=mask,
-                                    seed=int(rng.integers(2 ** 63))).observed
+            panel = simulate([params], design, N, T, [int(rng.integers(2 ** 63))],
+                             mask)[0].observed
             mcmc._sweep(params, panel, design, prior, rng, steps)
             if sweep >= burn:
                 records["mu"].append(params.mu[0, 0])
@@ -645,13 +651,13 @@ class TestChainOrchestration:
         panel, design, cs = self._small_fit(rng)
         for g in (0, 10, 24):
             params = cs.chains[1].params_at(g)
-            expected = -2.0 * log_likelihood_hmm(panel, design, params)
+            expected = -2.0 * log_likelihood(panel, design, params)
             assert cs.chains[1].deviance[g] == pytest.approx(expected, abs=1e-8)
 
     def test_markov_deviance_matches_recomputation(self, rng):
         panel, design, cs = self._small_fit(rng, model_kind="markov")
         params = cs.chains[0].params_at(5)
-        expected = -2.0 * log_likelihood_markov(panel, design, params)
+        expected = -2.0 * log_likelihood(panel, design, params)
         assert cs.chains[0].deviance[5] == pytest.approx(expected, abs=1e-8)
         assert "P" not in cs.chains[0].draws
 
@@ -761,13 +767,11 @@ class TestDevianceReuse:
         config = SamplerConfig(n_chains=1, n_burnin=n_burnin, n_keep=n_keep, seed=2)
         chain = run_chain(panel, design, PriorSpec(), config,
                           _start(model_kind, panel, design, config, 0))
-        loglik = (log_likelihood_hmm if model_kind == "hmm"
-                  else log_likelihood_markov)
         # the start decides the model: emissions are kept only for the HMM
         assert ("P" in chain.draws) == (model_kind == "hmm")
         assert chain.deviance.shape == (n_keep,)
         for g in range(n_keep):
-            expected = -2.0 * loglik(panel, design, chain.params_at(g))
+            expected = -2.0 * log_likelihood(panel, design, chain.params_at(g))
             assert chain.deviance[g] == expected
 
     @pytest.mark.parametrize("model_kind", ["hmm", "markov"])
@@ -775,15 +779,14 @@ class TestDevianceReuse:
         panel, design, _ = random_instance(rng, n_subjects=5, n_days=15)
         config = SamplerConfig(n_chains=1, n_burnin=3, n_keep=6, seed=4)
         start = _start(model_kind, panel, design, config, 0)
-        name = f"log_likelihood_{model_kind}"
-        original = getattr(inference, name)
+        original = inference.log_likelihood
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(inference, name, counted)
+        monkeypatch.setattr(inference, "log_likelihood", counted)
         run_chain(panel, design, PriorSpec(), config, start)
         assert len(calls) == 1
 

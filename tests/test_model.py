@@ -3,7 +3,7 @@ import pytest
 
 from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
-from panelhmm.inference import _hmm_factors, log_likelihood_markov
+from panelhmm.inference import _hmm_factors, log_likelihood
 from panelhmm.model import (
     Params,
     inverse_softmax,
@@ -11,9 +11,7 @@ from panelhmm.model import (
     params_from_text,
     params_to_text,
     save_params,
-    simulate_block,
-    simulate_hmm,
-    simulate_markov,
+    simulate,
     softmax_rows,
     transition_logits,
     transition_matrices,
@@ -170,7 +168,7 @@ class TestTransitions:
                 codes = np.zeros((2, 6), dtype=int)
                 codes[1, 1], codes[1, 4] = a, b
                 panel = ObservationPanel(codes=codes, mask=mask)
-                lik = np.exp(log_likelihood_markov(panel, design, params))
+                lik = np.exp(log_likelihood(panel, design, params))
                 got[a - 1, b - 1] = lik / (params.pi @ Q[0, :, :, 1])[a - 1]
         np.testing.assert_allclose(got, expected, atol=1e-14)
         np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
@@ -225,8 +223,7 @@ class TestSimulationAgainstLoop:
     @pytest.mark.parametrize("case", range(40))
     def test_same_draws_as_direct_loop(self, case):
         params, design, n, t = random_case(case)
-        simulate = simulate_markov if params.P is None else simulate_hmm
-        sim = simulate(params, design, n, t, seed=case)
+        sim = simulate([params], design, n, t, [case])[0]
         codes, hidden = reference_simulation(params, design, n, t, case)
         np.testing.assert_array_equal(sim.observed.codes, codes)
         if hidden is None:
@@ -241,10 +238,9 @@ class TestSimulationAgainstLoop:
                  else random_markov_params(7, 3, 2, rng) for _ in range(5)]
         seeds = [int(s) for s in rng.integers(2 ** 63, size=5)]
         mask = rng.random((6, 13)) < 0.2
-        sims = simulate_block(block, design, 6, 13, seeds, mask)
-        simulate = simulate_hmm if kind == "hmm" else simulate_markov
+        sims = simulate(block, design, 6, 13, seeds, mask)
         for params, seed, sim in zip(block, seeds, sims):
-            ref = simulate(params, design, 6, 13, mask=mask, seed=seed)
+            ref = simulate([params], design, 6, 13, [seed], mask)[0]
             np.testing.assert_array_equal(sim.observed.codes, ref.observed.codes)
             np.testing.assert_array_equal(sim.observed.mask, mask)
             if kind == "hmm":
@@ -252,29 +248,32 @@ class TestSimulationAgainstLoop:
             assert sim.seed == seed
 
     def test_kind_must_match(self, rng):
+        # a block of both kinds would take its kind from its first entry,
+        # and a 3-level Markov block entry has the HMM's shapes
         design = random_design(3, 5, rng)
-        with pytest.raises(InputError):
-            simulate_hmm(random_markov_params(3, 3, 2, rng), design, 3, 5, seed=0)
-        with pytest.raises(InputError):
-            simulate_markov(random_hmm_params(3, 3, 3, 2, rng), design, 3, 5, seed=0)
+        markov = random_markov_params(3, 3, 2, rng)
+        hmm = random_hmm_params(3, 3, 3, 2, rng)
+        for block in ([markov, hmm], [hmm, markov]):
+            with pytest.raises(InputError, match="mixes"):
+                simulate(block, design, 3, 5, [0, 1])
 
 
 class TestSimulation:
     def test_seed_reproducibility(self, rng):
         design = random_design(4, 12, rng)
         params = random_hmm_params(4, 3, 3, 2, rng)
-        a = simulate_hmm(params, design, 4, 12, seed=5)
-        b = simulate_hmm(params, design, 4, 12, seed=5)
+        a = simulate([params], design, 4, 12, [5])[0]
+        b = simulate([params], design, 4, 12, [5])[0]
         np.testing.assert_array_equal(a.observed.codes, b.observed.codes)
         np.testing.assert_array_equal(a.hidden, b.hidden)
-        c = simulate_hmm(params, design, 4, 12, seed=6)
+        c = simulate([params], design, 4, 12, [6])[0]
         assert not np.array_equal(a.observed.codes, c.observed.codes)
 
     def test_mask_applied_but_hidden_complete(self, rng):
         design = random_design(3, 10, rng)
         params = random_hmm_params(3, 3, 3, 2, rng)
         mask = rng.random((3, 10)) < 0.3
-        sim = simulate_hmm(params, design, 3, 10, mask=mask, seed=0)
+        sim = simulate([params], design, 3, 10, [0], mask)[0]
         np.testing.assert_array_equal(sim.observed.mask, mask)
         assert np.all(sim.observed.codes[mask] == 0)
         assert np.all(sim.hidden >= 1)
@@ -282,7 +281,7 @@ class TestSimulation:
     def test_markov_has_no_hidden(self, rng):
         design = random_design(3, 10, rng)
         params = random_markov_params(3, 3, 2, rng)
-        sim = simulate_markov(params, design, 3, 10, seed=1)
+        sim = simulate([params], design, 3, 10, [1])[0]
         assert sim.hidden is None
         assert set(np.unique(sim.observed.codes)) <= {1, 2, 3}
 
@@ -291,14 +290,14 @@ class TestSimulation:
         design = random_design(2000, 2, rng)
         params = random_hmm_params(2000, 3, 3, 2, rng)
         params.pi[...] = [0.9, 0.05, 0.05]
-        sim = simulate_hmm(params, design, 2000, 2, seed=3)
+        sim = simulate([params], design, 2000, 2, [3])[0]
         frac = (sim.hidden[:, 0] == 1).mean()
         assert abs(frac - 0.9) < 0.03
 
     def test_emission_frequencies(self, rng):
         design = random_design(1500, 2, rng)
         params = random_hmm_params(1500, 3, 3, 2, rng, concentrated=True)
-        sim = simulate_hmm(params, design, 1500, 2, seed=4)
+        sim = simulate([params], design, 1500, 2, [4])[0]
         match = (sim.observed.codes == sim.hidden).mean()
         assert match > 0.95
 
