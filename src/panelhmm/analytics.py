@@ -15,9 +15,11 @@ import numpy as np
 from . import inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
-from .model import simulate, softmax_rows, transition_matrices
+from .model import simulate, softmax_rows, transition_logits
 
 PPC_BLOCK = 8  # replicates simulated together: a few MB of arrays at paper scale
+# transition probabilities per day block of the transition APC: 0.5 MB
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,26 @@ def average_transition_difference(chain_set, design: DesignMatrix,
     row-j-to-m transition probability at u_hi minus that at u_lo, holding
     the other inputs at their observed values, averaged over every
     (subject, day) pair.
+
+    Each level's probabilities are built and summed one block of days at
+    a time (:data:`_BLOCK_ELEMENTS` probabilities per block), from day
+    slices of the two designs that overlap by one day, so memory per draw
+    does not grow with the number of days.
     """
     hi, lo = _comparison_designs(design, input_name, u_hi, u_lo)
+    N, T1 = design.n_subjects, design.n_days - 1
+    R = chain_set.params_at(0).n_states
+    days = max(1, _BLOCK_ELEMENTS // (R * R * N))
+    blocks = [[replace(d, values=d.values[:, t:min(t + days, T1) + 1])
+               for t in range(0, T1, days)] for d in (hi, lo)]
     out = []
     for params in _draws(chain_set):
-        diff = transition_matrices(params, hi) - transition_matrices(params, lo)
-        out.append(diff.mean(axis=(0, 3)))
+        sums = np.zeros((2, R, R))
+        for total, level in zip(sums, blocks):
+            for block in level:
+                total += softmax_rows(transition_logits(params, block),
+                                      axis=2).sum(axis=(0, 3))
+        out.append((sums[0] - sums[1]) / (T1 * N))
     return np.stack(out)
 
 

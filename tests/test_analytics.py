@@ -17,7 +17,7 @@ from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
 from panelhmm.inference import pointwise_predictive
 from panelhmm.mcmc import Chain, ChainSet, SamplerConfig, run_chains
-from panelhmm.model import simulate, softmax_rows
+from panelhmm.model import simulate, softmax_rows, transition_logits
 
 from conftest import (
     random_design,
@@ -78,16 +78,34 @@ class TestTransitionComparisons:
         for j in range(3):
             assert draws[0, j].sum() == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_direct_computation(self, rng):
+    @pytest.mark.parametrize("blocked", [False, True],
+                             ids=["one_block", "three_blocks"])
+    def test_matches_direct_computation(self, rng, monkeypatch, blocked):
         # [DERIVED] explicit per-(subject, day) loop over softmax rows
         params = random_hmm_params(3, 3, 3, 2, rng)
+        n_days = 5
+        if blocked:
+            # R * R * N = 27 probabilities a day: 11 transitions split
+            # into blocks of 4, 4 and 3 days; one row's +/-800 intercepts
+            # overflow exp without the max shift
+            monkeypatch.setattr(analytics, "_BLOCK_ELEMENTS", 4 * 27)
+            params.alpha[1, 2] = [800.0, -800.0]
+            n_days = 12
+        block_days = []
+
+        def logits(params, design):
+            block_days.append(design.n_days - 1)
+            return transition_logits(params, design)
+
+        monkeypatch.setattr(analytics, "transition_logits", logits)
         cs = chain_set_of(params)
-        design = random_design(3, 5, rng)
+        design = random_design(3, n_days, rng)
         got = average_transition_difference(cs, design, "x0", 0.8, -0.2)[0]
+        assert block_days == ([4, 4, 3] if blocked else [4]) * 2
         col = 0
         diffs = []
         for i in range(3):
-            for t in range(4):
+            for t in range(n_days - 1):
                 x_hi = design.values[i, t].copy()
                 x_hi[col] = 0.8
                 x_lo = design.values[i, t].copy()
@@ -106,6 +124,26 @@ class TestTransitionComparisons:
         cs = chain_set_of(params)
         design = random_design(4, 6, rng)
         assert average_transition_difference(cs, design, "x0", 0.5, -0.5)[0, 0, 1] > 0
+
+
+@pytest.mark.parametrize("apc", [average_transition_difference,
+                                 average_stationary_difference])
+class TestComparisonEdgeCases:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_logit_raises(self, rng, apc):
+        params = random_hmm_params(4, 3, 3, 2, rng)
+        params.beta[0, 0, 0] = 1e308  # times u = +/-2 is +/-inf
+        with pytest.raises(NumericalError, match="non-finite linear "
+                                                 "predictor in transition logits"):
+            apc(chain_set_of(params), random_design(4, 6, rng), "x0", 2.0, -2.0)
+
+    def test_one_state_gives_zeros(self, rng, apc):
+        # K = 0 targets: every transition and stationary probability is 1
+        cs = chain_set_of(*(random_hmm_params(4, 1, 3, 2, rng) for _ in range(2)))
+        draws = apc(cs, random_design(4, 6, rng), "x0", 0.5, -0.5)
+        assert draws.shape == ((2, 1, 1) if apc is average_transition_difference
+                               else (2, 1))
+        assert np.all(draws == 0.0)
 
 
 class TestStationaryDistribution:
