@@ -7,7 +7,6 @@ from .dataset import (
     ObservationPanel,
     RawCovariates,
     build_design,
-    encode_drinks,
     load_covariates,
     load_observations,
     prior_drinking_index,

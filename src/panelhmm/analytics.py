@@ -236,15 +236,14 @@ def ppc_quantile(observed: float, replicates) -> float:
 
 
 def ppc_check(chain_set, design: DesignMatrix, panel: ObservationPanel,
-              mode: str = "new_subjects", rng=None, draw_indices=None,
-              statistics=ppc_statistics) -> list:
+              mode: str = "new_subjects", rng=None, draw_indices=None) -> list:
     """Full posterior-predictive check: observed statistics against their
     replicate distributions, one :class:`PpcResult` per statistic."""
-    observed = statistics(panel)
+    observed = ppc_statistics(panel)
     reps = {name: [] for name in observed}
     for sim in ppc_replicates(chain_set, design, mode=mode, mask=panel.mask,
                               rng=rng, draw_indices=draw_indices):
-        for name, value in statistics(sim.observed).items():
+        for name, value in ppc_statistics(sim.observed).items():
             reps[name].append(value)
     results = []
     for name, value in observed.items():

@@ -292,23 +292,6 @@ def _parse_covariate_cell(column: str, cell: str) -> float:
         raise ValueError(f"invalid {column} value {cell!r}") from None
 
 
-def encode_drinks(raw_count: int, sex: str) -> int:
-    """Collapse a daily drink count to the three-level ordinal code.
-
-    Level 1 is zero drinks.  The heavy-drinking threshold is four or more
-    standard drinks for women and five or more for men; everything in
-    between is level 2.
-    """
-    if raw_count < 0:
-        raise ValueError("raw_count must be nonnegative")
-    if sex not in ("male", "female"):
-        raise ValueError(f"sex must be 'male' or 'female', got {sex!r}")
-    if raw_count == 0:
-        return 1
-    threshold = 5 if sex == "male" else 4
-    return 3 if raw_count >= threshold else 2
-
-
 def prior_drinking_index(d_drink: float, d_heavy: float) -> float:
     """Univariate pre-trial drinking summary in [0, 2].
 
@@ -346,11 +329,6 @@ def standardize(raw, name: str = "") -> tuple:
         )
     scale = 2.0 * sd
     return (raw - mean) / scale, Standardization(name=name, mean=mean, scale=scale)
-
-
-def unstandardize(values, record: Standardization) -> np.ndarray:
-    """Inverse of :func:`standardize` for a given record."""
-    return np.asarray(values, dtype=float) * record.scale + record.mean
 
 
 def build_design(raw: RawCovariates, n_days: int) -> DesignMatrix:

@@ -160,21 +160,19 @@ def scalar_summaries(chain_set) -> list:
     draws, and ESS is NaN for a constant trace.  Used by the diagnose
     command.
 
-    Each parameter array is summarized in blocks of scalars: a block is
-    copied scalars-major, shape (J, m, n), and every statistic is one
-    reduction along its last axis, so each scalar gets the same bits as a
-    one-scalar call.
+    The draws are summarized in blocks of scalars: a block of columns of
+    every chain's ``values`` is copied scalars-major, shape (J, m, n), and
+    every statistic is one reduction along its last axis, so each scalar
+    gets the same bits as a one-scalar call.
     """
     chains = chain_set.chains
     m, n = chain_set.n_chains, chain_set.n_kept
+    scalars = [path for name, shape in chains[0].shapes.items()
+               for path in param_paths(name, shape)]
+    step = max(1, _BLOCK_FLOATS // (m * n))
     rows = []
-    for name in sorted(chains[0].draws) + ["deviance"]:
-        if name == "deviance":
-            flats, paths = [c.deviance.reshape(n, 1) for c in chains], [name]
-        else:
-            paths = param_paths(name, chains[0].draws[name].shape[1:])
-            flats = [c.draws[name].reshape(n, len(paths)) for c in chains]
-        step = max(1, _BLOCK_FLOATS // (m * n))
+    for paths, flats in ((scalars, [c.values for c in chains]),
+                         (["deviance"], [c.deviance.reshape(n, 1) for c in chains])):
         for j0 in range(0, len(paths), step):
             cols = slice(j0, j0 + step)
             block = np.empty((len(paths[cols]), m, n))

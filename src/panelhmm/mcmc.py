@@ -34,7 +34,7 @@ import numpy as np
 from . import diagnostics, inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
-from .model import Params, inverse_softmax
+from .model import Params, inverse_softmax, unpack
 
 TARGET_ACCEPTANCE = 0.44  # optimal for univariate random-walk proposals
 START_STEPS = {"alpha": 0.4, "beta": 0.1}  # random-walk sds before adaptation
@@ -98,11 +98,12 @@ class SamplerConfig:
 
 @dataclass
 class Chain:
-    """Post-burn-in draws of one chain, stacked along the first axis;
-    ``draws`` holds ``P`` only for the HMM."""
+    """Post-burn-in draws of one chain: row g of ``values`` is draw g's
+    :attr:`Params.vector`, and ``shapes`` its :attr:`Params.shapes`."""
 
     chain_index: int
-    draws: dict
+    values: np.ndarray
+    shapes: dict
     deviance: np.ndarray
     acceptance: dict
 
@@ -110,9 +111,15 @@ class Chain:
     def n_kept(self) -> int:
         return self.deviance.size
 
+    @property
+    def draws(self) -> dict:
+        """Each parameter array's draws, shaped (n_kept, ...): writable
+        views into ``values``, with ``P`` only for the HMM."""
+        return unpack(self.values, self.shapes)
+
     def params_at(self, g: int):
         """Reconstruct the full parameter object of draw g."""
-        return Params(**{name: a[g] for name, a in self.draws.items()})
+        return Params(**unpack(self.values[g], self.shapes))
 
 
 @dataclass
@@ -124,7 +131,7 @@ class ChainSet:
     @property
     def model_kind(self) -> str:
         """``"hmm"`` when the draws hold emissions ``P``, else ``"markov"``."""
-        return "hmm" if "P" in self.chains[0].draws else "markov"
+        return "hmm" if "P" in self.chains[0].shapes else "markov"
 
     @property
     def n_chains(self) -> int:
@@ -140,13 +147,6 @@ class ChainSet:
             return np.stack([c.deviance for c in self.chains])
         return np.stack([c.draws[name] for c in self.chains])
 
-    def stacked(self, name: str) -> np.ndarray:
-        """Draws pooled across chains, shape (n_chains * n_kept, ...)."""
-        a = self.per_chain(name)
-        # an explicit length: numpy cannot infer -1 when a trailing axis
-        # is 0, as alpha's is for a one-state HMM
-        return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:])
-
     def params_at(self, g: int):
         """Parameter object for pooled draw index g (chain-major order)."""
         chain, local = divmod(g, self.n_kept)
@@ -155,18 +155,12 @@ class ChainSet:
     def posterior_mean_params(self):
         """Element-wise posterior mean parameters; probability vectors are
         averaged in probability space and renormalized."""
-        def prob_mean(name):
-            m = self.stacked(name).mean(axis=0)
-            return m / m.sum(axis=-1, keepdims=True)
-
-        return Params(
-            alpha=self.stacked("alpha").mean(axis=0),
-            beta=self.stacked("beta").mean(axis=0),
-            mu=self.stacked("mu").mean(axis=0),
-            sigma=self.stacked("sigma").mean(axis=0),
-            pi=prob_mean("pi"),
-            P=prob_mean("P") if self.model_kind == "hmm" else None,
-        )
+        mean = np.concatenate([c.values for c in self.chains]).mean(axis=0)
+        arrays = unpack(mean, self.chains[0].shapes)
+        for name in ("pi", "P"):
+            if name in arrays:
+                arrays[name] /= arrays[name].sum(axis=-1, keepdims=True)
+        return Params(**arrays)
 
 
 # -- EM initialization ------------------------------------------------------
@@ -194,13 +188,12 @@ def _em_start(S: int, M: int) -> tuple:
     return A, P, np.full(S, 1.0 / S)
 
 
-def em_initialize(panel: ObservationPanel, S: int, tol: float = 1e-8,
-                  max_iter: int = 500) -> EmFit:
+def em_initialize(panel: ObservationPanel, S: int, max_iter: int = 500) -> EmFit:
     """Baum-Welch MLE of a homogeneous HMM pooled over all subjects.
 
     Missing cells are marginalized.  The log-likelihood sequence is
     monotone nondecreasing; iteration stops when the improvement drops
-    below ``tol`` or after ``max_iter`` iterations.
+    below 1e-8 or after ``max_iter`` iterations.
     """
     if panel.n_subjects == 0 or panel.n_days == 0:
         raise InputError("cannot run EM on an empty panel")
@@ -212,7 +205,7 @@ def em_initialize(panel: ObservationPanel, S: int, tol: float = 1e-8,
         A = xi / xi.sum(axis=1, keepdims=True)
         P = emissions / np.clip(emissions.sum(axis=1, keepdims=True), 1e-300, None)
         pi = initial / initial.sum()
-        if len(lls) > 1 and lls[-1] - lls[-2] < tol:
+        if len(lls) > 1 and lls[-1] - lls[-2] < 1e-8:
             break
     return EmFit(transition=A, emissions=P, initial=pi, log_likelihoods=tuple(lls))
 
@@ -233,13 +226,12 @@ def empirical_markov_fit(panel: ObservationPanel) -> EmFit:
 
 
 def init_chain(em_fit: EmFit, n_subjects: int, n_covariates: int,
-               chain_index: int = 0, jitter_scale: float = 0.1,
-               seed: int = 0) -> Params:
+               chain_index: int = 0, seed: int = 0) -> Params:
     """Starting parameters anchored at the pooled fit.
 
     beta starts at zero, mu at the softmax inverse of the pooled
     transition rows (so the implied matrix at alpha = mu, x = 0 equals the
-    pooled matrix), alpha at mu plus a small per-chain jitter, sigma at 1.
+    pooled matrix), alpha at mu plus a per-chain jitter of sd 0.1, sigma at 1.
     An anchor with emissions (:func:`em_initialize`) gives an HMM start,
     one without (:func:`empirical_markov_fit`) a Markov start.
     """
@@ -248,7 +240,7 @@ def init_chain(em_fit: EmFit, n_subjects: int, n_covariates: int,
     K = R - 1
     mu = np.stack([inverse_softmax(A[r]) for r in range(R)])
     rng = np.random.default_rng(np.random.SeedSequence((seed, 977, chain_index)))
-    alpha = mu[None, :, :] + jitter_scale * rng.standard_normal((n_subjects, R, K))
+    alpha = mu[None, :, :] + 0.1 * rng.standard_normal((n_subjects, R, K))
     beta = np.zeros((R, K, n_covariates))
     sigma = np.ones((R, K))
     pi = np.clip(em_fit.initial, 1e-6, None)
@@ -540,7 +532,7 @@ def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
     batch = {move: np.zeros(shape) for move, shape in shapes.items()}
     acceptance = {move: np.zeros(shape) for move, shape in shapes.items()}
     n_total = config.n_burnin + config.n_keep
-    kept = {name: [] for name, a in vars(params).items() if a is not None}
+    draws = np.empty((config.n_keep, params.vector.size))
     deviance = np.zeros(config.n_keep)
     adapt_round = 0
     for g in range(n_total):
@@ -561,15 +553,11 @@ def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
         else:
             for move in acceptance:
                 acceptance[move] += acc[move]
-            for name in kept:
-                kept[name].append(getattr(params, name).copy())
+            draws[g - config.n_burnin] = params.vector
     deviance[-1] = diagnostics.deviance(panel, design, params)
-    return Chain(
-        chain_index=chain_index,
-        draws={name: np.stack(values) for name, values in kept.items()},
-        deviance=deviance,
-        acceptance={move: total / config.n_keep for move, total in acceptance.items()},
-    )
+    return Chain(chain_index=chain_index, values=draws, shapes=params.shapes,
+                 deviance=deviance,
+                 acceptance={move: total / config.n_keep for move, total in acceptance.items()})
 
 
 def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,

@@ -29,6 +29,7 @@ p covariates, M observed levels):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,9 @@ from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
 
 _PROB_TOL = 1e-12
+# The order of the arrays in a parameter vector: sorted names, the order
+# the convergence table prints.  Markov parameters have no P.
+LAYOUT = ("P", "alpha", "beta", "mu", "pi", "sigma")
 
 
 def _check_simplex(v: np.ndarray, what: str) -> None:
@@ -111,6 +115,31 @@ class Params:
         return Params(**{name: None if a is None else a.copy()
                          for name, a in vars(self).items()})
 
+    @property
+    def shapes(self) -> dict:
+        """Name to shape of every array, in :data:`LAYOUT` order."""
+        return {name: getattr(self, name).shape for name in LAYOUT
+                if getattr(self, name) is not None}
+
+    @property
+    def vector(self) -> np.ndarray:
+        """Every entry in one new float64 vector: the arrays of
+        :attr:`shapes`, each raveled in C order."""
+        return np.concatenate([getattr(self, name).ravel() for name in self.shapes])
+
+
+def unpack(vectors: np.ndarray, shapes: dict) -> dict:
+    """The arrays of ``shapes`` from the last axis of ``vectors``, the
+    inverse of :attr:`Params.vector`: each is a view, shaped
+    ``vectors.shape[:-1] + shape``, so a stack of vectors gives stacks of
+    arrays."""
+    ends = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
+    if ends[-1] != vectors.shape[-1]:
+        raise InputError(f"vectors of length {vectors.shape[-1]} do not hold "
+                         f"arrays of {ends[-1]} entries")
+    return {name: vectors[..., a:b].reshape(vectors.shape[:-1] + tuple(shape))
+            for (name, shape), a, b in zip(shapes.items(), ends, ends[1:])}
+
 
 @dataclass(frozen=True)
 class SimulatedPanel:
@@ -157,14 +186,14 @@ def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def inverse_softmax(row: np.ndarray, clamp: float = 1e-6) -> np.ndarray:
+def inverse_softmax(row: np.ndarray) -> np.ndarray:
     """Logits (relative to category 1) reproducing a probability row.
 
-    Entries below ``clamp`` are clamped before taking log ratios, since
+    Entries below 1e-6 are clamped before taking log ratios, since
     upstream estimates may contain exact zeros.
     """
     row = np.asarray(row, dtype=float)
-    row = np.clip(row, clamp, None)
+    row = np.clip(row, 1e-6, None)
     row = row / row.sum()
     return np.log(row[1:] / row[0])
 

@@ -1,14 +1,16 @@
 """Persistence of posterior samples and run manifests.
 
 ``samples.npz``, written by ``np.savez`` and read without pickles, holds
-a fit's retained draws: ``model_kind`` (0-d string), ``chain_index``
-``(chain,)`` int64, and float64 arrays shaped ``(chain, draw, ...)`` per
-parameter: ``alpha`` ``(..., N, R, K)``, ``beta`` ``(..., R, K, p)``,
-``mu`` and ``sigma`` ``(..., R, K)``, ``pi`` ``(..., R)`` and, for the HMM,
-``P`` ``(..., S, M)``; ``deviance`` is ``(chain, draw)``.
-``acceptance_alpha`` ``(chain, R, K)`` and ``acceptance_beta``
-``(chain, R, K, p)`` are each move's acceptance rate over the kept sweeps.
-Indices are 0-based.  Hidden-state summaries are not stored.
+a fit's retained draws: ``draws`` ``(chain, draw, D)`` float64, each row
+one draw's :attr:`model.Params.vector`; ``layout``, a 0-d JSON string of
+its :attr:`model.Params.shapes`, which :func:`model.unpack` splits the
+rows by; ``deviance`` ``(chain, draw)``; ``chain_index`` ``(chain,)``
+int64; and ``acceptance_alpha`` ``(chain, R, K)`` and
+``acceptance_beta`` ``(chain, R, K, p)``, each move's acceptance rate
+over the kept sweeps.  The model is the HMM when the layout holds ``P``.
+Indices are 0-based.  Hidden-state summaries are not stored.  Stores of
+earlier versions, one array per parameter, have no ``draws`` and must be
+re-fit.
 """
 
 from __future__ import annotations
@@ -22,25 +24,23 @@ import numpy as np
 
 from .errors import InputError
 from .mcmc import Chain, ChainSet
+from .model import Params, unpack
 
 SCHEMA_VERSION = 1
 SAMPLES_FILE = "samples.npz"
 MANIFEST_FILE = "run_manifest.json"
-_PARAMS = {"hmm": ("alpha", "beta", "mu", "sigma", "pi", "P"),
-           "markov": ("alpha", "beta", "mu", "sigma", "pi")}
 _MOVES = ("alpha", "beta")  # the moves whose acceptance is stored
 
 
 def save_chain_set(directory, chain_set: ChainSet) -> None:
     """Write all retained draws to ``<directory>/samples.npz``."""
     chains = chain_set.chains
-    arrays = {name: chain_set.per_chain(name)
-              for name in _PARAMS[chain_set.model_kind] + ("deviance",)}
-    for move in _MOVES:
-        arrays[f"acceptance_{move}"] = np.stack([c.acceptance[move] for c in chains])
-    np.savez(f"{directory}/{SAMPLES_FILE}", model_kind=np.array(chain_set.model_kind),
+    np.savez(f"{directory}/{SAMPLES_FILE}", draws=np.stack([c.values for c in chains]),
+             layout=np.array(json.dumps(chains[0].shapes)),
+             deviance=chain_set.per_chain("deviance"),
              chain_index=np.array([c.chain_index for c in chains], dtype=np.int64),
-             **arrays)
+             **{f"acceptance_{move}": np.stack([c.acceptance[move] for c in chains])
+                for move in _MOVES})
 
 
 def load_chain_set(directory) -> ChainSet:
@@ -52,23 +52,24 @@ def load_chain_set(directory) -> ChainSet:
             arrays = {name: store[name] for name in store.files}
     except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: unreadable ({exc}); run `fit` again") from None
-    kind = str(arrays.get("model_kind"))
-    if kind not in _PARAMS:
-        raise InputError(f"{path}: no model_kind of 'hmm' or 'markov'")
-    required = ("chain_index", "deviance") + _PARAMS[kind] + tuple(
-        f"acceptance_{move}" for move in _MOVES)
-    missing = [name for name in required if name not in arrays]
+    by_chain = ("draws", "deviance", "chain_index") + tuple(f"acceptance_{m}" for m in _MOVES)
+    missing = [name for name in by_chain + ("layout",) if name not in arrays]
     if missing:
-        raise InputError(f"{path}: no {', '.join(missing)} array")
-    if (any(arrays[name].shape[:1] != arrays["chain_index"].shape for name in required)
-            or any(arrays[name].shape[:2] != arrays["deviance"].shape for name in _PARAMS[kind])):
+        raise InputError(f"{path}: missing {', '.join(missing)}; run `fit` again")
+    draws, deviance = arrays["draws"], arrays["deviance"]
+    if (any(arrays[name].shape[:1] != arrays["chain_index"].shape for name in by_chain)
+            or draws.ndim != 3 or draws.shape[:2] != deviance.shape):
         raise InputError(f"{path}: arrays disagree on the number of chains or draws")
-    if arrays["deviance"].size == 0:
+    if deviance.size == 0:
         raise InputError(f"{path}: no draws")
+    try:
+        layout = json.loads(str(arrays["layout"]))
+        shapes = {name: tuple(shape) for name, shape in layout.items()}
+        Params(**unpack(draws[0, 0], shapes))
+    except (ValueError, TypeError, AttributeError, InputError) as exc:
+        raise InputError(f"{path}: draws do not match their layout ({exc})") from None
     return ChainSet(chains=[
-        Chain(chain_index=int(c),
-              draws={name: arrays[name][i] for name in _PARAMS[kind]},
-              deviance=arrays["deviance"][i],
+        Chain(chain_index=int(c), values=draws[i], shapes=shapes, deviance=deviance[i],
               acceptance={move: arrays[f"acceptance_{move}"][i] for move in _MOVES})
         for i, c in enumerate(arrays["chain_index"])])
 

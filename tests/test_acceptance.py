@@ -72,10 +72,8 @@ def _verdict(number, description, ok):
 
 
 def _one_draw_chain_set(params):
-    draws = {name: getattr(params, name)[None].copy()
-             for name in ("alpha", "beta", "mu", "sigma", "pi", "P")}
-    chain = Chain(chain_index=0, draws=draws, deviance=np.zeros(1),
-                  acceptance={})
+    chain = Chain(chain_index=0, values=params.vector[None], shapes=params.shapes,
+                  deviance=np.zeros(1), acceptance={})
     return ChainSet(chains=[chain])
 
 
@@ -293,8 +291,8 @@ def test_criterion_06_synthetic_recovery():
     config = SamplerConfig(n_chains=3, n_burnin=2000, n_keep=2000, seed=60)
     cs = run_chains("hmm", sim.observed, design, config=config)
     elapsed = time.perf_counter() - t0
-    P_err = np.max(np.abs(cs.stacked("P").mean(axis=0) - P_true))
-    mu_err = np.max(np.abs(cs.stacked("mu").mean(axis=0) - mu_true))
+    P_err = np.max(np.abs(cs.per_chain("P").mean(axis=(0, 1)) - P_true))
+    mu_err = np.max(np.abs(cs.per_chain("mu").mean(axis=(0, 1)) - mu_true))
     rhats = []
     P_chains = cs.per_chain("P")
     for idx in np.ndindex(S, M):
@@ -436,13 +434,13 @@ def test_criterion_11_trial_data_reproduction():
     design = build_design(load_covariates(x_path), panel.n_days)
     config = SamplerConfig(n_chains=3, n_burnin=10_000, n_keep=10_000, seed=0)
     cs = run_chains("hmm", panel, design, config=config)
-    P_hat = cs.stacked("P").mean(axis=0)
+    P_hat = cs.per_chain("P").mean(axis=(0, 1))
     P_expected = np.array([
         [0.997, 0.002, 0.001],
         [0.030, 0.956, 0.014],
         [0.014, 0.020, 0.966],
     ])
-    pi_hat = cs.stacked("pi").mean(axis=0)
+    pi_hat = cs.per_chain("pi").mean(axis=(0, 1))
     report = dic(cs, panel, design)
     from panelhmm.analytics import default_comparison_levels
     hi, lo = default_comparison_levels(design, "treatment")

@@ -30,9 +30,8 @@ from conftest import (
 
 def chain_set_of(*params):
     """A one-chain set holding the given posterior draws in order."""
-    draws = {name: np.stack([getattr(q, name) for q in params])
-             for name, a in vars(params[0]).items() if a is not None}
-    chain = Chain(chain_index=0, draws=draws, deviance=np.zeros(len(params)),
+    chain = Chain(chain_index=0, values=np.stack([q.vector for q in params]),
+                  shapes=params[0].shapes, deviance=np.zeros(len(params)),
                   acceptance={})
     return ChainSet(chains=[chain])
 

@@ -272,7 +272,7 @@ class TestDiagnose:
         assert "pi[0]" not in rows
         stored = storage.load_chain_set(fitted)
         assert float(rows["pi[1]"][1]) == pytest.approx(
-            stored.stacked("pi")[:, 0].mean(), rel=1e-12)
+            stored.per_chain("pi")[..., 0].mean(), rel=1e-12)
         acceptance = (out / "acceptance.csv").read_text().splitlines()[2:]
         beta_paths = {r[0] for r in csv.reader(acceptance) if r[0].startswith("beta")}
         assert len(beta_paths) == 3 * 2 * 4 and beta_paths <= rows.keys()

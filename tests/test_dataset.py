@@ -5,39 +5,13 @@ from panelhmm.dataset import (
     ObservationPanel,
     RawCovariates,
     build_design,
-    encode_drinks,
     load_covariates,
     load_observations,
     prior_drinking_index,
     save_observations,
     standardize,
-    unstandardize,
 )
 from panelhmm.errors import DegenerateCovariateError, InputError
-
-
-class TestEncodeDrinks:
-    def test_zero_is_abstinent(self):
-        assert encode_drinks(0, "male") == 1
-        assert encode_drinks(0, "female") == 1
-
-    def test_sex_specific_heavy_threshold(self):
-        # heavy from 5 drinks for men, 4 for women
-        assert encode_drinks(4, "male") == 2
-        assert encode_drinks(5, "male") == 3
-        assert encode_drinks(3, "female") == 2
-        assert encode_drinks(4, "female") == 3
-
-    def test_moderate_band(self):
-        for n in (1, 2, 3):
-            assert encode_drinks(n, "male") == 2
-            assert encode_drinks(n, "female") == 2
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            encode_drinks(-1, "male")
-        with pytest.raises(ValueError):
-            encode_drinks(3, "other")
 
 
 class TestPriorDrinkingIndex:
@@ -185,7 +159,7 @@ class TestStandardize:
     def test_unstandardize_inverts(self, rng):
         raw = rng.normal(size=50)
         std, rec = standardize(raw)
-        np.testing.assert_allclose(unstandardize(std, rec), raw, atol=1e-12)
+        np.testing.assert_allclose(std * rec.scale + rec.mean, raw, atol=1e-12)
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateCovariateError):

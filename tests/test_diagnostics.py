@@ -142,11 +142,17 @@ class TestScalarSummaries:
                         for k in cs.chains[0].draws) + 1  # + deviance
         assert len(rows) == n_scalars
 
+    def test_paths_follow_the_layout(self, summaries):
+        cs, rows = summaries
+        expected = [path for name, shape in cs.chains[0].shapes.items()
+                    for path in param_paths(name, shape)] + ["deviance"]
+        assert [r["parameter"] for r in rows] == expected
+
     def test_statistics_match_pooled_draws(self, summaries):
         cs, rows = summaries
-        for path, pooled in (("pi[2]", cs.stacked("pi")[:, 1]),
-                             ("mu[2,3]", cs.stacked("mu")[:, 1, 1]),
-                             ("alpha[3,1,2]", cs.stacked("alpha")[:, 3, 0, 0])):
+        for path, pooled in (("pi[2]", cs.per_chain("pi")[..., 1].ravel()),
+                             ("mu[2,3]", cs.per_chain("mu")[..., 1, 1].ravel()),
+                             ("alpha[3,1,2]", cs.per_chain("alpha")[..., 3, 0, 0].ravel())):
             row = next(r for r in rows if r["parameter"] == path)
             assert row["mean"] == pytest.approx(pooled.mean())
             assert row["q025"] == pytest.approx(np.quantile(pooled, 0.025))
@@ -257,10 +263,13 @@ def ar1_chain_set(rng, n_chains, n_draws):
         mu[0] = rng.standard_normal((3, 2))
         for t in range(1, n_draws):
             mu[t] = coef * mu[t - 1] + rng.standard_normal((3, 2))
-        draws = {"mu": mu + 0.1 * c,
-                 "sigma": rng.uniform(0.5, 1.5, (n_draws, 3, 2)),
-                 "pi": np.full((n_draws, 3), 1.0 / 3.0)}
-        chains.append(Chain(chain_index=c, draws=draws,
+        sigma = rng.uniform(0.5, 1.5, (n_draws, 3, 2))
+        draws = {"mu": mu + 0.1 * c, "pi": np.full((n_draws, 3), 1.0 / 3.0),
+                 "sigma": sigma}
+        chains.append(Chain(chain_index=c,
+                            values=np.concatenate([a.reshape(n_draws, -1)
+                                                   for a in draws.values()], axis=1),
+                            shapes={name: a.shape[1:] for name, a in draws.items()},
                             deviance=rng.standard_normal(n_draws).cumsum(),
                             acceptance={}))
     return ChainSet(chains=chains)

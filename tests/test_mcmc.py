@@ -524,8 +524,8 @@ class TestInitChain:
         panel, design, _ = random_instance(rng, n_subjects=10, n_days=30,
                                            missing_rate=0.0)
         fit = em_initialize(panel, S=3)
-        params = init_chain(fit, 10, design.p, chain_index=0, jitter_scale=0.0)
-        # with zero jitter, softmax(mu) must reproduce the pooled rows
+        params = init_chain(fit, 10, design.p, chain_index=0)
+        # the jitter moves only alpha: softmax(mu) must reproduce the pooled rows
         implied = softmax_rows(params.mu)
         np.testing.assert_allclose(implied, fit.transition, atol=1e-5)
         assert np.all(params.beta == 0.0)
@@ -663,15 +663,37 @@ class TestChainOrchestration:
 
     def test_draw_validity(self, rng):
         _, _, cs = self._small_fit(rng)
-        pi = cs.stacked("pi")
-        P = cs.stacked("P")
-        np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-10)
-        np.testing.assert_allclose(P.sum(axis=2), 1.0, atol=1e-10)
-        assert np.all(cs.stacked("sigma") > 0)
+        pi = cs.per_chain("pi")
+        P = cs.per_chain("P")
+        np.testing.assert_allclose(pi.sum(axis=-1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(P.sum(axis=-1), 1.0, atol=1e-10)
+        assert np.all(cs.per_chain("sigma") > 0)
 
     def test_posterior_mean_params_valid(self, rng):
         _, _, cs = self._small_fit(rng)
         cs.posterior_mean_params().validate()
+
+    def test_draws_are_writable_views_of_values(self, rng):
+        _, _, cs = self._small_fit(rng)
+        chain = cs.chains[0]
+        assert chain.values.shape == (cs.n_kept, chain.params_at(0).vector.size)
+        for name, draws in chain.draws.items():
+            assert draws.shape == (cs.n_kept,) + chain.shapes[name]
+            assert np.shares_memory(draws, chain.values)
+        np.testing.assert_array_equal(chain.values[4], chain.params_at(4).vector)
+        chain.draws["beta"][..., 1] = 0.0
+        assert np.all(chain.params_at(3).beta[..., 1] == 0.0)
+
+    def test_posterior_mean_params_renormalizes(self, rng):
+        _, _, cs = self._small_fit(rng)
+        mean = cs.posterior_mean_params()
+        for name in ("alpha", "beta", "mu", "sigma"):
+            np.testing.assert_array_equal(
+                getattr(mean, name), cs.per_chain(name).mean(axis=(0, 1)))
+        for name in ("pi", "P"):
+            m = cs.per_chain(name).mean(axis=(0, 1))
+            np.testing.assert_allclose(getattr(mean, name),
+                                       m / m.sum(axis=-1, keepdims=True), rtol=1e-15)
 
     def test_params_at_pooled_indexing(self, rng):
         _, _, cs = self._small_fit(rng)

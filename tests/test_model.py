@@ -5,6 +5,7 @@ from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
 from panelhmm.inference import _hmm_factors, log_likelihood
 from panelhmm.model import (
+    LAYOUT,
     Params,
     inverse_softmax,
     load_params,
@@ -15,6 +16,7 @@ from panelhmm.model import (
     softmax_rows,
     transition_logits,
     transition_matrices,
+    unpack,
 )
 
 from conftest import random_design, random_hmm_params, random_markov_params
@@ -106,6 +108,50 @@ class TestParams:
     def test_markov_rows_are_levels(self, rng):
         params = random_markov_params(2, 3, 2, rng)
         assert params.n_states == params.m_levels == 3
+
+
+_LAYOUT_CASES = {
+    "hmm": lambda rng: random_hmm_params(2, 3, 4, 2, rng),
+    "markov": lambda rng: random_markov_params(2, 3, 2, rng),
+    "one-state-hmm": lambda rng: random_hmm_params(2, 1, 3, 2, rng),
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("case", list(_LAYOUT_CASES))
+    def test_vector_follows_layout(self, rng, case):
+        params = _LAYOUT_CASES[case](rng)
+        assert list(LAYOUT) == sorted(vars(params))  # the convergence table's order
+        names = [name for name in LAYOUT if getattr(params, name) is not None]
+        assert list(params.shapes) == names
+        assert params.shapes == {name: getattr(params, name).shape for name in names}
+        vector = params.vector
+        assert vector.dtype == np.float64 and vector.ndim == 1
+        np.testing.assert_array_equal(
+            vector, np.concatenate([getattr(params, name).ravel() for name in names]))
+        assert not np.shares_memory(vector, params.alpha)
+
+    @pytest.mark.parametrize("case", list(_LAYOUT_CASES))
+    def test_unpack_inverts_vector(self, rng, case):
+        params = _LAYOUT_CASES[case](rng)
+        back = Params(**unpack(params.vector, params.shapes))
+        assert back.shapes == params.shapes
+        for name, a in vars(params).items():
+            np.testing.assert_array_equal(getattr(back, name), a)
+
+    def test_unpack_stacks_views(self, rng):
+        draws = [random_hmm_params(2, 3, 4, 2, rng) for _ in range(3)]
+        values = np.stack([params.vector for params in draws])
+        arrays = unpack(values, draws[0].shapes)
+        for name, shape in draws[0].shapes.items():
+            assert arrays[name].shape == (3,) + shape
+            assert np.shares_memory(arrays[name], values)
+            np.testing.assert_array_equal(arrays[name][1], getattr(draws[1], name))
+
+    def test_unpack_rejects_wrong_length(self, rng):
+        params = random_markov_params(2, 3, 2, rng)
+        with pytest.raises(InputError, match="do not hold"):
+            unpack(params.vector[:-1], params.shapes)
 
 
 class TestTransitions:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from panelhmm import storage
 from panelhmm.errors import InputError
 from panelhmm.mcmc import ChainSet, SamplerConfig, run_chains
+from panelhmm.model import LAYOUT
 
 from conftest import random_instance
 
@@ -41,6 +43,8 @@ def assert_same_chain_set(back, cs):
     assert [c.chain_index for c in back.chains] == \
         [c.chain_index for c in cs.chains]
     for got, want in zip(back.chains, cs.chains):
+        assert got.shapes == want.shapes
+        np.testing.assert_array_equal(got.values, want.values)
         assert got.draws.keys() == want.draws.keys()
         for name in want.draws:
             np.testing.assert_array_equal(got.draws[name], want.draws[name])
@@ -68,41 +72,42 @@ class TestSamplesRoundTrip:
     def test_store_layout(self, chain_set, markov_chain_set, tmp_path, kind):
         cs = chain_set if kind == "hmm" else markov_chain_set
         storage.save_chain_set(tmp_path, cs)
-        params = ["alpha", "beta", "mu", "sigma", "pi"] + (["P"] if kind == "hmm" else [])
         C, G = cs.n_chains, cs.n_kept
-        draw = cs.chains[0].draws
-        N, R, K = draw["alpha"].shape[1:]
-        p = draw["beta"].shape[-1]
+        shapes = cs.chains[0].shapes
+        R, K, p = shapes["beta"]
+        D = sum(math.prod(shape) for shape in shapes.values())
         with np.load(tmp_path / storage.SAMPLES_FILE, allow_pickle=False) as store:
             assert sorted(store.files) == sorted(
-                ["model_kind", "chain_index", "deviance", "acceptance_alpha",
-                 "acceptance_beta"] + params)
-            assert store["model_kind"].shape == ()
-            assert str(store["model_kind"]) == kind
+                ["draws", "layout", "chain_index", "deviance", "acceptance_alpha",
+                 "acceptance_beta"])
+            assert store["layout"].shape == ()
+            layout = json.loads(str(store["layout"]))
+            assert list(layout) == list(LAYOUT if kind == "hmm" else LAYOUT[1:])
+            assert layout == {name: list(shape) for name, shape in shapes.items()}
             assert store["chain_index"].shape == (C,)
             assert store["chain_index"].dtype == np.int64
-            shapes = {"alpha": (C, G, N, R, K), "beta": (C, G, R, K, p),
-                      "mu": (C, G, R, K), "sigma": (C, G, R, K), "pi": (C, G, R),
-                      "deviance": (C, G), "acceptance_alpha": (C, R, K),
-                      "acceptance_beta": (C, R, K, p)}
-            if kind == "hmm":
-                shapes["P"] = (C, G, R, draw["P"].shape[-1])
-            for name, shape in shapes.items():
+            for name, shape in {"draws": (C, G, D), "deviance": (C, G),
+                                "acceptance_alpha": (C, R, K),
+                                "acceptance_beta": (C, R, K, p)}.items():
                 assert store[name].shape == shape, name
                 assert store[name].dtype == np.float64, name
+            np.testing.assert_array_equal(store["draws"][-1, 2],
+                                          cs.chains[-1].params_at(2).vector)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda a: a.pop("model_kind"), "model_kind"),
-        (lambda a: a.pop("P"), "no P array"),
-        (lambda a: a.update(alpha=a["alpha"][:1]), "disagree"),
-        (lambda a: a.update(beta=a["beta"][:, :-1]), "disagree"),
+        (lambda a: a.pop("layout"), "missing layout"),
+        (lambda a: a.pop("draws"), "missing draws"),
+        (lambda a: a.update(draws=a["draws"][:1]), "disagree"),
+        (lambda a: a.update(deviance=a["deviance"][:, :-1]), "disagree"),
         (lambda a: a.update(acceptance_beta=a["acceptance_beta"][0]), "disagree"),
-        (lambda a: a.update({k: v[:, :0] for k, v in a.items()
-                             if k in ("deviance", "alpha", "beta", "mu", "sigma",
-                                      "pi", "P")}), "no draws"),
+        (lambda a: a.update(draws=a["draws"][..., :-1]), "do not match their layout"),
+        (lambda a: a.update(layout=np.array(a["layout"].item().replace('"mu"', '"nu"'))),
+         "do not match their layout"),
+        (lambda a: a.update(draws=a["draws"][:, :0], deviance=a["deviance"][:, :0]),
+         "no draws"),
         (lambda a: a.update({k: v[:0] for k, v in a.items() if v.ndim}), "no draws"),
-    ], ids=["no-model-kind", "no-P", "alpha-chains", "beta-draws",
-            "acceptance-chains", "no-draws", "no-chains"])
+    ], ids=["no-layout", "no-draws-array", "draws-chains", "deviance-draws",
+            "acceptance-chains", "draws-width", "unknown-array", "no-draws", "no-chains"])
     def test_malformed_store_rejected(self, chain_set, tmp_path, edit, message):
         storage.save_chain_set(tmp_path, chain_set)
         path = tmp_path / storage.SAMPLES_FILE
@@ -111,6 +116,18 @@ class TestSamplesRoundTrip:
         edit(arrays)
         np.savez(path, **arrays)
         with pytest.raises(InputError, match=message):
+            storage.load_chain_set(tmp_path)
+
+    def test_store_with_one_array_per_parameter_rejected(self, chain_set, tmp_path):
+        # the format of earlier versions: no draws or layout, a model_kind
+        np.savez(tmp_path / storage.SAMPLES_FILE, model_kind=np.array("hmm"),
+                 chain_index=np.arange(chain_set.n_chains),
+                 deviance=chain_set.per_chain("deviance"),
+                 **{name: chain_set.per_chain(name) for name in chain_set.chains[0].shapes},
+                 **{f"acceptance_{move}": np.stack([c.acceptance[move]
+                                                    for c in chain_set.chains])
+                    for move in ("alpha", "beta")})
+        with pytest.raises(InputError, match="missing draws, layout; run `fit` again"):
             storage.load_chain_set(tmp_path)
 
     def test_truncated_store_rejected(self, chain_set, tmp_path):
@@ -127,8 +144,8 @@ class TestSamplesRoundTrip:
         back = storage.load_chain_set(tmp_path)
         assert back.model_kind == "markov"
         assert "P" not in back.chains[0].draws
-        np.testing.assert_array_equal(back.stacked("alpha"),
-                                      cs.stacked("alpha"))
+        np.testing.assert_array_equal(back.per_chain("alpha"),
+                                      cs.per_chain("alpha"))
         assert_same_chain_set(back, cs)
 
 
