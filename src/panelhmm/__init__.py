@@ -21,7 +21,6 @@ from .model import (
 from .inference import (
     draw_complete_data,
     log_likelihood,
-    pointwise_predictive,
     smoothed_marginals,
     viterbi,
 )
@@ -47,7 +46,6 @@ from .analytics import (
     ppc_check,
     ppc_quantile,
     ppc_statistics,
-    serial_dependence_table,
     stationary_distribution,
 )
 

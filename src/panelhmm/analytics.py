@@ -12,12 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import inference
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
 from .model import simulate, softmax_rows, transition_logits
 
 PPC_BLOCK = 8  # replicates simulated together: a few MB of arrays at paper scale
+STAT_BLOCK_DAYS = 28  # days per block of the per-block PPC statistics
 # transition probabilities per day block of the transition APC: 0.5 MB
 _BLOCK_ELEMENTS = 2 ** 16
 
@@ -181,14 +181,14 @@ def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
                             seeds, mask)
 
 
-def ppc_statistics(panel: ObservationPanel, block_length: int = 28) -> dict:
+def ppc_statistics(panel: ObservationPanel) -> dict:
     """Named goodness-of-fit statistics over non-missing cells.
 
     Includes: mean/variance across subjects of moderate- and heavy-day
     counts; first-drinking-day (first observed day with level >= 2,
     1-based) mean and sd over subjects with at least one drinking day;
-    the Never-Drinker count; and per-block (4-week) mean and sd of
-    abstinent/moderate/heavy day counts.
+    the Never-Drinker count; and per-block (``STAT_BLOCK_DAYS`` days) mean
+    and sd of abstinent/moderate/heavy day counts.
     """
     obs = ~panel.mask
     codes = panel.codes
@@ -211,9 +211,9 @@ def ppc_statistics(panel: ObservationPanel, block_length: int = 28) -> dict:
         stats["fdd_mean"] = float("nan")
         stats["fdd_sd"] = float("nan")
     level_names = {1: "abstinent", 2: "moderate", 3: "heavy"}
-    n_blocks = (panel.n_days + block_length - 1) // block_length
+    n_blocks = (panel.n_days + STAT_BLOCK_DAYS - 1) // STAT_BLOCK_DAYS
     for b in range(n_blocks):
-        sl = slice(b * block_length, min((b + 1) * block_length, panel.n_days))
+        sl = slice(b * STAT_BLOCK_DAYS, (b + 1) * STAT_BLOCK_DAYS)
         for level in range(1, panel.m_levels + 1):
             days = ((codes[:, sl] == level) & obs[:, sl]).sum(axis=1).astype(float)
             name = level_names.get(level, f"level{level}")
@@ -252,44 +252,3 @@ def ppc_check(chain_set, design: DesignMatrix, panel: ObservationPanel,
         q = ppc_quantile(value, finite) if finite.size and np.isfinite(value) else float("nan")
         results.append(PpcResult(name=name, observed=value, replicates=r, quantile=q))
     return results
-
-
-def serial_dependence_table(panel: ObservationPanel, design: DesignMatrix,
-                            chain_set_hmm, chain_set_markov) -> list:
-    """Motif-level comparison of the two models' predictive fit.
-
-    Scans for observed consecutive triplets (i, j, i) ("return") and
-    (i, j, j) ("stay") with i != j, and reports the mean predictive
-    probability of the third element under each model, evaluated at each
-    model's posterior-mean parameters.
-    """
-    prob_hmm = inference.pointwise_predictive(
-        panel, design, chain_set_hmm.posterior_mean_params())
-    prob_markov = inference.pointwise_predictive(
-        panel, design, chain_set_markov.posterior_mean_params())
-    codes, obs = panel.codes, ~panel.mask
-    seen = obs[:, :-2] & obs[:, 1:-1] & obs[:, 2:]
-    first, second, last = codes[:, :-2], codes[:, 1:-1], codes[:, 2:]
-    rows = []
-    M = panel.m_levels
-    for i in range(1, M + 1):
-        for j in range(1, M + 1):
-            if i == j:
-                continue
-            for pattern, third in (("return", i), ("stay", j)):
-                subj, t = np.nonzero(seen & (first == i) & (second == j)
-                                     & (last == third))
-                if subj.size == 0:
-                    continue
-                idx = (subj, t + 2)
-                rows.append({
-                    "first": i,
-                    "second": j,
-                    "third": third,
-                    "pattern": pattern,
-                    "count": int(subj.size),
-                    "hmm_mean_prob": float(prob_hmm[idx].mean()),
-                    "markov_mean_prob": float(prob_markov[idx].mean()),
-                })
-    return rows
-

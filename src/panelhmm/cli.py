@@ -371,10 +371,9 @@ def viterbi(fit_dir, y_path, x_path, out_dir):
     if chain_set.model_kind != "hmm":
         raise InputError("viterbi decoding requires an HMM fit")
     params = chain_set.posterior_mean_params()
-    paths = inference.viterbi(panel, design, params)
+    states, _ = inference.viterbi(panel, design, params)
     marginals = inference.smoothed_marginals(panel, design, params)
     S = params.n_states
-    states = np.stack([path.states for path in paths])
     # cell strings by value: observed codes with the token at 0 (missing)
     observed = [_csv_cell(missing_token)] + [str(m) for m in range(1, panel.m_levels + 1)]
     state_names = [str(s) for s in range(S + 1)]
@@ -396,7 +395,7 @@ def viterbi(fit_dir, y_path, x_path, out_dir):
             fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
     storage.write_manifest(out_dir, "viterbi", {},
                            {"y": y_path, "x": x_path}, None)
-    click.echo(f"decoded {len(paths)} subjects into {out_dir}/viterbi.csv")
+    click.echo(f"decoded {len(states)} subjects into {out_dir}/viterbi.csv")
 
 
 def main(argv=None):

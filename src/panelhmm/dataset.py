@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateCovariateError, InputError
 
 COVARIATE_NAMES = ("treatment", "sex", "prior_drinking", "time")
+M_LEVELS = 3  # diary levels: abstinent, moderate, heavy
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class ObservationPanel:
 
     codes: np.ndarray
     mask: np.ndarray
-    m_levels: int = 3
+    m_levels: int = M_LEVELS
 
     def __post_init__(self):
         codes = np.asarray(self.codes, dtype=np.int64)
@@ -181,11 +182,11 @@ def _cell_code(cell: str, missing_token: str, m_levels: int) -> int:
     return value
 
 
-def load_observations(path, missing_token: str = "NA", m_levels: int = 3) -> ObservationPanel:
+def load_observations(path, missing_token: str = "NA") -> ObservationPanel:
     """Load a delimited panel file into an :class:`ObservationPanel`.
 
     One row per subject, one column per day.  Cells are integer codes in
-    ``1..m_levels`` or the missing token (case-insensitive; empty cells
+    ``1..M_LEVELS`` or the missing token (case-insensitive; empty cells
     also count as missing).  Comma, whitespace, and semicolon delimiters
     are detected automatically.  Each distinct cell text is parsed once.
 
@@ -216,7 +217,7 @@ def load_observations(path, missing_token: str = "NA", m_levels: int = 3) -> Obs
     lookup, faults = {}, {}  # cell text -> code (-1 if faulty) / error text
     for cell in {c for _, cells in rows[:ragged] for c in cells}:
         try:
-            lookup[cell] = _cell_code(cell.strip(), missing_token, m_levels)
+            lookup[cell] = _cell_code(cell.strip(), missing_token, M_LEVELS)
         except ValueError as exc:
             lookup[cell], faults[cell] = -1, str(exc)
     codes = np.array([[lookup[c] for c in cells] for _, cells in rows[:ragged]],
@@ -231,7 +232,7 @@ def load_observations(path, missing_token: str = "NA", m_levels: int = 3) -> Obs
         raise InputError(
             f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})"
         )
-    return ObservationPanel(codes=codes, mask=codes == 0, m_levels=m_levels)
+    return ObservationPanel(codes=codes, mask=codes == 0, m_levels=M_LEVELS)
 
 
 def save_observations(panel: ObservationPanel, path, missing_token: str = "NA") -> None:

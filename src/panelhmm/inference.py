@@ -14,21 +14,10 @@ pass stays in probability space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import DesignMatrix, ObservationPanel
 from .model import Params, softmax_rows, transition_logits, transition_matrices
-
-
-@dataclass(frozen=True)
-class ViterbiPath:
-    """Most likely hidden path for one subject and its log joint
-    probability with the observed data."""
-
-    states: np.ndarray
-    log_joint: float
 
 
 def _hmm_factors(codes: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -130,21 +119,15 @@ def _log_scaling(scaling: np.ndarray) -> np.ndarray:
                         -np.inf)
 
 
-def _scaling(panel: ObservationPanel, design: DesignMatrix,
-             params: Params) -> np.ndarray:
-    """The forward filter's per-day normalizers, shape (N, T), under the
-    model ``params`` belong to."""
-    return _filter_all(_factors(panel, params),
-                       transition_matrices(params, design), params.pi)[1]
-
-
 def log_likelihood(panel: ObservationPanel, design: DesignMatrix,
                    params: Params) -> float:
     """log p(Y_obs | theta) under the model ``params`` belong to: hidden
     states marginalized exactly for the HMM; for the Markov model the
     initial distribution enters at day 1, and missing runs are
     marginalized through the multi-step transitions."""
-    return float(_log_scaling(_scaling(panel, design, params)).sum())
+    scaling = _filter_all(_factors(panel, params),
+                          transition_matrices(params, design), params.pi)[1]
+    return float(_log_scaling(scaling).sum())
 
 
 # perfbench/checks.py still recomputes deviances through these two names;
@@ -188,9 +171,10 @@ def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
 
 
 def viterbi(panel: ObservationPanel, design: DesignMatrix,
-            params: Params) -> list[ViterbiPath]:
+            params: Params) -> tuple:
     """Most likely hidden path per subject (max-product DP, all subjects
-    at once).
+    at once): the (N, T) int64 1-based states and the (N,) log joint
+    probability of each path with the observed data.
 
     Missing days contribute transition terms only.  Ties are broken toward
     the lower state index.
@@ -213,34 +197,4 @@ def viterbi(panel: ObservationPanel, design: DesignMatrix,
     states[:, T - 1] = delta.argmax(axis=0)
     for t in range(T - 1, 0, -1):
         states[:, t - 1] = back[t, states[:, t], cols]
-    return [ViterbiPath(states=s + 1, log_joint=float(d))
-            for s, d in zip(states, delta.max(axis=0))]
-
-
-def log_joint_hmm(panel: ObservationPanel, design: DesignMatrix,
-                  params: Params, hidden: np.ndarray) -> float:
-    """log p(H, Y_obs | theta) for a given hidden grid (checking aid for
-    decoded paths; emissions count only on observed cells)."""
-    h = np.asarray(hidden, dtype=np.int64)
-    Q = transition_matrices(params, design)
-    N, T = h.shape
-    subjects = np.arange(N)[:, None]
-    days = np.arange(T - 1)[None, :]
-    with np.errstate(divide="ignore"):
-        ll = np.log(params.pi[h[:, 0] - 1]).sum()
-        ll += np.log(Q[days, h[:, :-1] - 1, h[:, 1:] - 1, subjects]).sum()
-        obs = ~panel.mask
-        ll += np.log(params.P[h[obs] - 1, panel.codes[obs] - 1]).sum()
-    return float(ll)
-
-
-def pointwise_predictive(panel: ObservationPanel, design: DesignMatrix,
-                         params: Params) -> np.ndarray:
-    """Per-cell predictive probability of each observed value: the forward
-    filter's normalizer of that day, NaN on missing cells.
-
-    For HMM parameters it is p(y_t | y_{1..t-1}, theta); for Markov
-    parameters, p(y_t | previous observed value, theta), with multi-step
-    transitions across gaps.
-    """
-    return np.where(panel.mask, np.nan, _scaling(panel, design, params))
+    return states + 1, delta.max(axis=0)

@@ -14,11 +14,11 @@ Each sweep builds one such row cache per transition row, once, by
 gathering from the logits its data step computed; the four moves share
 those caches, and ``adopt`` keeps them in step with the parameters.
 
-Sigma prior note: the default prior is flat on sigma (not sigma^2).  With
-n intercepts and sum of squares SS around mu, the induced full
-conditional is sigma^2 ~ SS / chi^2_{n-1}; a proper
-scaled-inverse-chi-squared(nu0, s0^2) prior gives nu0 + n degrees of
-freedom with scale sum nu0*s0^2 + SS.  Both run through the same draw.
+Sigma prior note: sigma has a scaled-inverse-chi-squared(nu0, s0^2)
+prior.  With n intercepts and sum of squares SS around mu, the full
+conditional is sigma^2 ~ (nu0*s0^2 + SS) / chi^2_{nu0+n}.  The default
+(nu0, s0^2) = (-1, 0) is the flat prior on sigma (not sigma^2), whose
+conditional is SS / chi^2_{n-1}.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ START_STEPS = {"alpha": 0.4, "beta": 0.1}  # random-walk sds before adaptation
 SCALE_STEP = 0.3  # sd of the log scale factor in update_scale_joint
 LOCATION_STEP = 0.15  # sd of the shift in update_location_joint
 _ADAPT_BATCH = 50
+_MEAN_BLOCK = 256  # draws per block of posterior_mean_params: 3 MB at D = 1,488
+EM_MAX_ITER = 500  # Baum-Welch iterations of em_initialize at most
 _DIRICHLET = 1.0  # uniform Dirichlet prior on pi and the emission rows
 
 
@@ -48,40 +50,34 @@ _DIRICHLET = 1.0  # uniform Dirichlet prior on pi and the emission rows
 class PriorSpec:
     """Prior hyperparameters.
 
-    ``sigma_prior`` is ``"flat-sigma"`` (default) or ``"inv-chisq"``; the
-    latter requires ``sigma_nu0`` and ``sigma_s0sq`` and is the proper
-    choice (used by sampler validation, which needs to draw from the
-    prior).
+    sigma has the scaled-inverse-chi-squared(``sigma_nu0``, ``sigma_s0sq``)
+    prior p(sigma) ∝ sigma^-(nu0+1) exp(-nu0 s0^2 / (2 sigma^2)).  The
+    default (-1, 0) makes that density 1, the flat prior on sigma; any
+    other pair must be positive, a proper prior, which sampler validation
+    needs in order to draw from it.
     """
 
     beta_sd: float = 10.0
     mu_sd: float = 10.0
-    sigma_prior: str = "flat-sigma"
-    sigma_nu0: float | None = None
-    sigma_s0sq: float | None = None
+    sigma_nu0: float = -1.0
+    sigma_s0sq: float = 0.0
 
     def __post_init__(self):
         if self.beta_sd <= 0 or self.mu_sd <= 0:
             raise InputError("prior scales must be positive")
-        if self.sigma_prior not in ("flat-sigma", "inv-chisq"):
-            raise InputError(f"unknown sigma prior {self.sigma_prior!r}")
-        if self.sigma_prior == "inv-chisq":
-            if not (self.sigma_nu0 and self.sigma_nu0 > 0
-                    and self.sigma_s0sq and self.sigma_s0sq > 0):
-                raise InputError("inv-chisq sigma prior needs positive nu0 and s0sq")
+        flat = self.sigma_nu0 == -1 and self.sigma_s0sq == 0
+        if not (flat or (self.sigma_nu0 > 0 and self.sigma_s0sq > 0)):
+            raise InputError("sigma prior needs nu0 = -1 with s0sq = 0 (flat), "
+                             "or positive nu0 and s0sq")
 
-    def sigma_conditional(self, n: int, ss: float) -> tuple:
-        """(degrees of freedom, scale sum) of the sigma^2 full conditional."""
-        if self.sigma_prior == "flat-sigma":
-            nu, scale_sum = n - 1, ss
-        else:
-            nu, scale_sum = self.sigma_nu0 + n, self.sigma_nu0 * self.sigma_s0sq + ss
+    def sigma_conditional(self, n: int, ss):
+        """(degrees of freedom, scale sum) of the sigma^2 full conditional
+        of ``n`` intercepts whose sum of squares around mu is ``ss``."""
+        nu = self.sigma_nu0 + n
         if nu < 1:
-            raise InputError(
-                f"sigma full conditional undefined: {n} subjects with "
-                f"{self.sigma_prior} prior"
-            )
-        return nu, scale_sum
+            raise InputError(f"sigma full conditional undefined: {n} subjects "
+                             f"with sigma prior nu0 = {self.sigma_nu0:g}")
+        return nu, self.sigma_nu0 * self.sigma_s0sq + ss
 
 
 @dataclass(frozen=True)
@@ -154,8 +150,19 @@ class ChainSet:
 
     def posterior_mean_params(self):
         """Element-wise posterior mean parameters; probability vectors are
-        averaged in probability space and renormalized."""
-        mean = np.concatenate([c.values for c in self.chains]).mean(axis=0)
+        averaged in probability space and renormalized.
+
+        The draws are summed in order, ``_MEAN_BLOCK`` rows at a time, with
+        the running sum as each block's first row: the same additions as
+        one sum over every draw, without a copy of every draw."""
+        total = None
+        for chain in self.chains:
+            for g in range(0, chain.n_kept, _MEAN_BLOCK):
+                block = chain.values[g:g + _MEAN_BLOCK]
+                if total is not None:
+                    block = np.concatenate([total[None], block])
+                total = block.sum(axis=0)
+        mean = total / sum(c.n_kept for c in self.chains)
         arrays = unpack(mean, self.chains[0].shapes)
         for name in ("pi", "P"):
             if name in arrays:
@@ -188,18 +195,18 @@ def _em_start(S: int, M: int) -> tuple:
     return A, P, np.full(S, 1.0 / S)
 
 
-def em_initialize(panel: ObservationPanel, S: int, max_iter: int = 500) -> EmFit:
+def em_initialize(panel: ObservationPanel, S: int) -> EmFit:
     """Baum-Welch MLE of a homogeneous HMM pooled over all subjects.
 
     Missing cells are marginalized.  The log-likelihood sequence is
     monotone nondecreasing; iteration stops when the improvement drops
-    below 1e-8 or after ``max_iter`` iterations.
+    below 1e-8 or after ``EM_MAX_ITER`` iterations.
     """
     if panel.n_subjects == 0 or panel.n_days == 0:
         raise InputError("cannot run EM on an empty panel")
     A, P, pi = _em_start(S, panel.m_levels)
     lls = []
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         ll, xi, emissions, initial = inference._expected_counts(panel.codes, A, P, pi)
         lls.append(ll)
         A = xi / xi.sum(axis=1, keepdims=True)
@@ -394,18 +401,14 @@ def update_sigma(params, prior: PriorSpec, rng: np.random.Generator) -> None:
     that leave it undefined."""
     N = params.alpha.shape[0]
     ss = ((params.alpha - params.mu[None]) ** 2).sum(axis=0)
-    R, K = params.mu.shape
-    for r in range(R):
-        for k in range(K):
-            nu, scale_sum = prior.sigma_conditional(N, float(ss[r, k]))
-            draw = scale_sum / rng.chisquare(nu)
-            params.sigma[r, k] = np.sqrt(max(draw, 1e-300))
+    nu, scale_sum = prior.sigma_conditional(N, ss)
+    draw = scale_sum / rng.chisquare(nu, size=ss.shape)
+    params.sigma[...] = np.sqrt(np.maximum(draw, 1e-300))
 
 
 def _log_prior_sigma(prior: PriorSpec, sigma: float) -> float:
-    """Unnormalized log prior density on the sigma scale."""
-    if prior.sigma_prior == "flat-sigma":
-        return 0.0
+    """Unnormalized log prior density on the sigma scale (±0 under the
+    flat default)."""
     return float(-(prior.sigma_nu0 + 1.0) * np.log(sigma)
                  - prior.sigma_nu0 * prior.sigma_s0sq / (2.0 * sigma ** 2))
 
@@ -623,10 +626,10 @@ def _chain_workers(n_chains: int) -> int:
 def sample_params_from_prior(prior: PriorSpec, n_subjects: int, n_rows: int,
                              n_covariates: int, m_levels: int,
                              model_kind: str, rng: np.random.Generator):
-    """Draw a full parameter state from the prior (requires the proper
-    inv-chisq sigma prior); used for sampler validation."""
-    if prior.sigma_prior != "inv-chisq":
-        raise InputError("prior sampling requires the proper inv-chisq sigma prior")
+    """Draw a full parameter state from the prior (requires a proper
+    sigma prior, nu0 > 0); used for sampler validation."""
+    if prior.sigma_nu0 <= 0:
+        raise InputError("prior sampling requires a proper sigma prior (nu0 > 0)")
     R, K = n_rows, n_rows - 1
     sigma2 = (prior.sigma_nu0 * prior.sigma_s0sq
               / rng.chisquare(prior.sigma_nu0, size=(R, K)))

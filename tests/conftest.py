@@ -95,6 +95,22 @@ def enumerate_paths(panel, design, params, subject=0):
     return paths, np.array(probs)
 
 
+def log_joint_hmm(panel, design, params, hidden):
+    """log p(H, Y_obs | theta) for a given hidden grid (checking aid for
+    decoded paths; emissions count only on observed cells)."""
+    h = np.asarray(hidden, dtype=np.int64)
+    Q = transition_matrices(params, design)
+    N, T = h.shape
+    subjects = np.arange(N)[:, None]
+    days = np.arange(T - 1)[None, :]
+    with np.errstate(divide="ignore"):
+        ll = np.log(params.pi[h[:, 0] - 1]).sum()
+        ll += np.log(Q[days, h[:, :-1] - 1, h[:, 1:] - 1, subjects]).sum()
+        obs = ~panel.mask
+        ll += np.log(params.P[h[obs] - 1, panel.codes[obs] - 1]).sum()
+    return float(ll)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

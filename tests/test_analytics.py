@@ -10,12 +10,10 @@ from panelhmm.analytics import (
     ppc_quantile,
     ppc_replicates,
     ppc_statistics,
-    serial_dependence_table,
     stationary_distribution,
 )
 from panelhmm.dataset import ObservationPanel
 from panelhmm.errors import InputError, NumericalError
-from panelhmm.inference import pointwise_predictive
 from panelhmm.mcmc import Chain, ChainSet, SamplerConfig, run_chains
 from panelhmm.model import simulate, softmax_rows, transition_logits
 
@@ -263,7 +261,7 @@ class TestStationaryComparisons:
 
 
 class TestPpcStatistics:
-    def test_hand_computed_fixture(self):
+    def test_hand_computed_fixture(self, monkeypatch):
         codes = np.array([
             [1, 2, 3, 1, 1, 0],
             [1, 1, 1, 1, 1, 1],
@@ -271,7 +269,8 @@ class TestPpcStatistics:
         ])
         mask = codes == 0
         panel = ObservationPanel(codes=codes, mask=mask)
-        stats = ppc_statistics(panel, block_length=3)
+        monkeypatch.setattr(analytics, "STAT_BLOCK_DAYS", 3)
+        stats = ppc_statistics(panel)
         moderate = np.array([1.0, 0.0, 2.0])
         heavy = np.array([1.0, 0.0, 2.0])
         assert stats["mean_moderate_days"] == pytest.approx(moderate.mean())
@@ -383,36 +382,3 @@ class TestPpcReplicates:
                 finite = r.replicates[np.isfinite(r.replicates)]
                 assert r.quantile == pytest.approx(
                     ppc_quantile(r.observed, finite))
-
-
-class TestSerialDependence:
-    def test_motif_scan_oracle(self, rng):
-        # [DERIVED] motif cells found by a separate direct scan, mean
-        # probabilities recomputed from pointwise predictions
-        panel, design, hmm_params = (lambda p, d, q: (p, d, q))(
-            *random_instance(rng, n_subjects=6, n_days=25, missing_rate=0.15))
-        markov_params = random_markov_params(6, 3, 2, rng)
-        cs_h = chain_set_of(hmm_params)
-        cs_m = chain_set_of(markov_params)
-        table = serial_dependence_table(panel, design, cs_h, cs_m)
-        prob_h = pointwise_predictive(panel, design, hmm_params)
-        prob_m = pointwise_predictive(panel, design, markov_params)
-        obs = ~panel.mask
-        for row in table:
-            i, j, third = row["first"], row["second"], row["third"]
-            cells = [
-                (s, t + 2)
-                for s in range(panel.n_subjects)
-                for t in range(panel.n_days - 2)
-                if obs[s, t] and obs[s, t + 1] and obs[s, t + 2]
-                and panel.codes[s, t] == i and panel.codes[s, t + 1] == j
-                and panel.codes[s, t + 2] == third
-            ]
-            assert row["count"] == len(cells)
-            assert row["hmm_mean_prob"] == pytest.approx(
-                np.mean([prob_h[c] for c in cells]))
-            assert row["markov_mean_prob"] == pytest.approx(
-                np.mean([prob_m[c] for c in cells]))
-        patterns = {(r["first"], r["second"], r["pattern"]) for r in table}
-        assert all(i != j for i, j, _ in patterns)
-

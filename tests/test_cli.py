@@ -474,17 +474,17 @@ class TestViterbiCommand:
         panel = load_observations(y, missing_token='n"a')
         design = build_design(load_covariates(x), panel.n_days)
         params = storage.load_chain_set(fit).posterior_mean_params()
-        paths = viterbi(panel, design, params)
+        states, _ = viterbi(panel, design, params)
         marginals = smoothed_marginals(panel, design, params)
         expected = io.StringIO(newline="")
         expected.write(cli.SCHEMA_COMMENT + "\n")
         writer = csv.writer(expected)
         writer.writerow(["subject", "day", "observed", "state", "p_state_1",
                          "p_state_2", "p_state_3"])
-        for i, path in enumerate(paths):
+        for i, path in enumerate(states):
             for t in range(panel.n_days):
                 writer.writerow([i, t + 1, 'n"a' if panel.mask[i, t]
-                                 else str(panel.codes[i, t]), int(path.states[t])]
+                                 else str(panel.codes[i, t]), int(path[t])]
                                 + [repr(float(p)) for p in marginals[i, t]])
         assert '"n""a"' in expected.getvalue()
         assert (out / "viterbi.csv").read_bytes() == expected.getvalue().encode()

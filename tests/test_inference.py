@@ -9,9 +9,7 @@ from panelhmm.inference import (
     _filter_all,
     _hmm_factors,
     draw_complete_data,
-    log_joint_hmm,
     log_likelihood,
-    pointwise_predictive,
     smoothed_marginals,
     viterbi,
 )
@@ -19,6 +17,7 @@ from panelhmm.model import Params, softmax_rows, transition_matrices
 
 from conftest import (
     enumerate_paths,
+    log_joint_hmm,
     random_design,
     random_hmm_params,
     random_instance,
@@ -155,11 +154,10 @@ class TestViterbi:
             panel, design, params = random_instance(rng, n_days=T, S=S)
             paths, probs = enumerate_paths(panel, design, params)
             best = probs.max()
-            got = viterbi(panel, design, params)[0]
-            joint = np.exp(log_joint_hmm(panel, design, params,
-                                         got.states[None, :]))
+            states, log_joint = viterbi(panel, design, params)
+            joint = np.exp(log_joint_hmm(panel, design, params, states))
             assert joint >= best * (1 - 1e-12)
-            assert got.log_joint == pytest.approx(np.log(best), abs=1e-10)
+            assert log_joint[0] == pytest.approx(np.log(best), abs=1e-10)
 
     def test_tie_breaks_toward_lower_state(self, rng):
         design = random_design(1, 3, rng)
@@ -171,8 +169,8 @@ class TestViterbi:
         params.P[...] = [[0.5, 0.5], [0.5, 0.5]]
         panel = ObservationPanel(codes=np.array([[1, 2, 1]]),
                                  mask=np.zeros((1, 3), bool), m_levels=2)
-        path = viterbi(panel, design, params)[0]
-        np.testing.assert_array_equal(path.states, [1, 1, 1])
+        states, _ = viterbi(panel, design, params)
+        np.testing.assert_array_equal(states[0], [1, 1, 1])
 
 
     def test_panel_decodes_each_subject_as_alone(self):
@@ -193,10 +191,11 @@ class TestViterbi:
                               names=design.names)
         params.alpha[0] = 0.0
         params.pi[...] = 1.0 / 3
-        decoded = viterbi(panel, design, params)
-        assert len(decoded) == N
-        np.testing.assert_array_equal(decoded[0].states, np.ones(T))
-        for i, path in enumerate(decoded):
+        states, log_joint = viterbi(panel, design, params)
+        assert states.shape == (N, T) and states.dtype == np.int64
+        assert log_joint.shape == (N,)
+        np.testing.assert_array_equal(states[0], np.ones(T))
+        for i in range(N):
             one = slice(i, i + 1)
             alone = (
                 ObservationPanel(codes=panel.codes[one], mask=panel.mask[one],
@@ -207,11 +206,11 @@ class TestViterbi:
                        mu=params.mu, sigma=params.sigma, pi=params.pi,
                        P=params.P),
             )
-            own = viterbi(*alone)[0]
-            np.testing.assert_array_equal(path.states, own.states)
-            assert path.log_joint == pytest.approx(own.log_joint, rel=1e-12)
-            assert path.log_joint == pytest.approx(
-                log_joint_hmm(*alone, path.states[None, :]), rel=1e-12)
+            own_states, own_log_joint = viterbi(*alone)
+            np.testing.assert_array_equal(states[one], own_states)
+            assert log_joint[i] == pytest.approx(own_log_joint[0], rel=1e-12)
+            assert log_joint[i] == pytest.approx(
+                log_joint_hmm(*alone, states[one]), rel=1e-12)
 
 
 class TestFfbs:
@@ -338,30 +337,3 @@ class TestMarkovLikelihood:
         expected = (params.pi @ Q[0, :, :, 0] @ Q[1, :, :, 0])[1]
         got = np.exp(log_likelihood(panel, design, params))
         assert got == pytest.approx(expected, rel=1e-12)
-
-
-class TestPointwisePredictive:
-    def test_one_step_chain_rule(self, rng):
-        # products of one-step predictives telescope to the likelihood
-        panel, design, params = random_instance(rng, n_subjects=3, n_days=7,
-                                                missing_rate=0.0)
-        probs = pointwise_predictive(panel, design, params)
-        assert np.log(probs).sum() == pytest.approx(
-            log_likelihood(panel, design, params), rel=1e-10)
-
-    def test_markov_chain_rule(self, rng):
-        design = random_design(3, 7, rng)
-        params = random_markov_params(3, 3, 2, rng)
-        codes = rng.integers(1, 4, (3, 7))
-        panel = ObservationPanel(codes=codes, mask=np.zeros((3, 7), bool))
-        probs = pointwise_predictive(panel, design, params)
-        assert np.log(probs).sum() == pytest.approx(
-            log_likelihood(panel, design, params), rel=1e-10)
-
-    def test_missing_cells_are_nan(self, rng):
-        panel, design, params = random_instance(rng, n_subjects=4, n_days=8,
-                                                missing_rate=0.3)
-        probs = pointwise_predictive(panel, design, params)
-        np.testing.assert_array_equal(np.isnan(probs), panel.mask)
-        observed = probs[~panel.mask]
-        assert np.all((observed > 0) & (observed <= 1))

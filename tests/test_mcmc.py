@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +39,7 @@ from panelhmm.model import (
     softmax_rows,
     transition_logits,
     transition_matrices,
+    unpack,
 )
 
 from conftest import (
@@ -59,10 +61,14 @@ def row_caches(params, seq, design):
 class TestPriorSpec:
     def test_sigma_conditional_degrees_of_freedom(self):
         assert PriorSpec().sigma_conditional(5, 2.0) == (4, 2.0)
-        prior = PriorSpec(sigma_prior="inv-chisq", sigma_nu0=3.0, sigma_s0sq=1.5)
+        prior = PriorSpec(sigma_nu0=3.0, sigma_s0sq=1.5)
         nu, scale = prior.sigma_conditional(5, 2.0)
         assert nu == 8.0
         assert scale == pytest.approx(3.0 * 1.5 + 2.0)
+
+    def test_default_is_flat_on_sigma(self):
+        for sigma in (1e-3, 0.7, 1.0, 40.0):
+            assert mcmc._log_prior_sigma(PriorSpec(), sigma) == 0.0
 
     def test_too_few_subjects_rejected(self):
         with pytest.raises(InputError):
@@ -71,12 +77,9 @@ class TestPriorSpec:
     def test_validation(self):
         with pytest.raises(InputError):
             PriorSpec(beta_sd=0.0)
-        with pytest.raises(InputError):
-            PriorSpec(sigma_prior="jeffreys")
-        with pytest.raises(InputError):
-            PriorSpec(sigma_prior="flat-sigma-sq")
-        with pytest.raises(InputError):
-            PriorSpec(sigma_prior="inv-chisq")
+        for nu0, s0sq in ((-1.0, 0.5), (0.0, 0.0), (3.0, -1.0), (3.0, 0.0)):
+            with pytest.raises(InputError, match="sigma prior needs"):
+                PriorSpec(sigma_nu0=nu0, sigma_s0sq=s0sq)
 
 
 class TestConjugateUpdates:
@@ -117,10 +120,30 @@ class TestConjugateUpdates:
         p = stats.kstest(ss / draws ** 2, "chi2", args=(9,)).pvalue
         assert p > KS_ALPHA
 
+    @pytest.mark.parametrize("N, prior, nu, prior_sum", [
+        (5, PriorSpec(), 4, 0.0),  # flat: N - 1 degrees of freedom
+        (240, PriorSpec(), 239, 0.0),
+        (5, PriorSpec(sigma_nu0=7.5, sigma_s0sq=0.3), 12.5, 7.5 * 0.3)])
+    def test_sigma_draws_match_entrywise_loop(self, rng, N, prior, nu, prior_sum):
+        # one chisquare call for every (row, target) takes the same stream,
+        # entry by entry in row-major order, as one call per entry
+        params = random_hmm_params(N, 4, 3, 2, rng)
+        ref = params.copy()
+        state = rng.bit_generator.state
+        update_sigma(params, prior, rng)
+        after = rng.random()
+        rng.bit_generator.state = state
+        ss = ((ref.alpha - ref.mu[None]) ** 2).sum(axis=0)
+        for r, k in np.ndindex(ss.shape):
+            draw = (prior_sum + float(ss[r, k])) / rng.chisquare(nu)
+            ref.sigma[r, k] = np.sqrt(max(draw, 1e-300))
+        assert params.sigma.tobytes() == ref.sigma.tobytes()
+        assert rng.random() == after
+
     def test_sigma_needs_two_subjects_under_flat_prior(self, rng):
         # the flat-sigma conditional has N - 1 degrees of freedom
         params = random_hmm_params(1, 3, 3, 2, rng)
-        with pytest.raises(InputError, match="1 subjects with flat-sigma"):
+        with pytest.raises(InputError, match="1 subjects with sigma prior nu0 = -1"):
             update_sigma(params, PriorSpec(), rng)
 
     def test_pi_dirichlet_counts(self, rng):
@@ -389,8 +412,7 @@ class TestJointBlockMoves:
         # sigma^2 marginal scaled inverse chi-squared
         rng = np.random.default_rng(211)
         nu0, s0sq = 6.0, 0.5
-        prior = PriorSpec(sigma_prior="inv-chisq", sigma_nu0=nu0,
-                          sigma_s0sq=s0sq)
+        prior = PriorSpec(sigma_nu0=nu0, sigma_s0sq=s0sq)
         N = 5
         design = random_design(N, 4, rng)
         seq = rng.integers(1, 3, size=(N, 4))  # row 3 never visited
@@ -462,7 +484,7 @@ class TestEmInitialize:
         assert sorted(fit.emissions.argmax(axis=1)) == [0, 1, 2]
         assert np.all(diag > 0.7)
 
-    def test_first_log_likelihood_scores_the_start(self, rng):
+    def test_first_log_likelihood_scores_the_start(self, rng, monkeypatch):
         # the first E-step scores the homogeneous start, which the
         # likelihood layer writes as rows inverse_softmax(A) and beta = 0
         codes = np.array([[1, 3, 0, 2, 2], [3, 0, 0, 1, 3], [0, 0, 0, 0, 0]])
@@ -472,7 +494,8 @@ class TestEmInitialize:
         start = Params(alpha=np.repeat(mu[None], 3, axis=0),
                        beta=np.zeros((2, 1, 2)), mu=mu, sigma=np.ones((2, 1)),
                        pi=pi, P=P)
-        fit = em_initialize(panel, S=2, max_iter=1)
+        monkeypatch.setattr(mcmc, "EM_MAX_ITER", 1)
+        fit = em_initialize(panel, S=2)
         assert len(fit.log_likelihoods) == 1
         assert fit.log_likelihoods[0] == pytest.approx(
             log_likelihood(panel, random_design(3, 5, rng), start),
@@ -589,8 +612,8 @@ class TestMarkovJointDistribution:
         rng = np.random.default_rng(506)
         N, T, M, p = 5, 10, 3, 2
         design = random_design(N, T, rng, p=p)
-        prior = PriorSpec(beta_sd=0.4, mu_sd=0.7, sigma_prior="inv-chisq",
-                          sigma_nu0=8.0, sigma_s0sq=0.09)
+        prior = PriorSpec(beta_sd=0.4, mu_sd=0.7, sigma_nu0=8.0,
+                          sigma_s0sq=0.09)
         mask = np.zeros((N, T), dtype=bool)
         mask[1, 3:6] = True   # an interior run
         mask[2, 7:] = True    # a dropout tail
@@ -683,6 +706,37 @@ class TestChainOrchestration:
         np.testing.assert_array_equal(chain.values[4], chain.params_at(4).vector)
         chain.draws["beta"][..., 1] = 0.0
         assert np.all(chain.params_at(3).beta[..., 1] == 0.0)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_posterior_mean_in_blocks_is_bitwise_one_sum(self, rng, monkeypatch,
+                                                         block):
+        # blocks of 7 do not divide a chain's 25 draws, so the running sum
+        # crosses a chain boundary mid-block
+        _, _, cs = self._small_fit(rng)
+        want = cs.posterior_mean_params()
+        monkeypatch.setattr(mcmc, "_MEAN_BLOCK", block)
+        got = cs.posterior_mean_params()
+        ref = unpack(np.concatenate([c.values for c in cs.chains]).mean(axis=0),
+                     cs.chains[0].shapes)
+        assert got.vector.tobytes() == want.vector.tobytes()
+        for name in ("alpha", "beta", "mu", "sigma"):
+            assert getattr(got, name).tobytes() == ref[name].tobytes()
+
+    def test_posterior_mean_copies_no_draws(self):
+        # a 3 x 2,000-draw store at the fit-hmm shape holds 71 MB
+        shapes = {"P": (3, 3), "alpha": (240, 3, 2), "beta": (3, 2, 4),
+                  "mu": (3, 2), "pi": (3,), "sigma": (3, 2)}
+        D = sum(int(np.prod(s)) for s in shapes.values())
+        cs = ChainSet([Chain(c, np.full((2000, D), 0.5), shapes, np.zeros(2000), {})
+                       for c in range(3)])
+        tracemalloc.start()
+        try:
+            mean = cs.posterior_mean_params()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(mean.sigma == 0.5)
+        assert peak < 8e6
 
     def test_posterior_mean_params_renormalizes(self, rng):
         _, _, cs = self._small_fit(rng)
@@ -819,7 +873,7 @@ class TestPriorSampling:
             sample_params_from_prior(PriorSpec(), 3, 3, 2, 3, "hmm", rng)
 
     def test_draws_are_valid_params(self, rng):
-        prior = PriorSpec(sigma_prior="inv-chisq", sigma_nu0=5.0, sigma_s0sq=0.5)
+        prior = PriorSpec(sigma_nu0=5.0, sigma_s0sq=0.5)
         params = sample_params_from_prior(prior, 4, 3, 2, 3, "hmm", rng)
         params.validate()
         assert params.P.shape == (3, 3)
