@@ -9,7 +9,6 @@ from .dataset import (
     build_design,
     load_covariates,
     load_observations,
-    prior_drinking_index,
     standardize,
 )
 from .errors import InputError, NumericalError, PanelHmmError

@@ -115,20 +115,6 @@ class RawCovariates:
 
 
 @dataclass(frozen=True)
-class Standardization:
-    """Record of the affine transform applied to one covariate.
-
-    ``standardized = (raw - mean) / scale`` with ``scale = 2 * sd``,
-    where ``sd`` is the population standard deviation (divide by n) of
-    the standardization population.
-    """
-
-    name: str
-    mean: float
-    scale: float
-
-
-@dataclass(frozen=True)
 class DesignMatrix:
     """Per-(subject, day) standardized covariate vectors.
 
@@ -138,7 +124,6 @@ class DesignMatrix:
     """
 
     values: np.ndarray
-    standardizations: tuple
     names: tuple = COVARIATE_NAMES
 
     def __post_init__(self):
@@ -293,28 +278,11 @@ def _parse_covariate_cell(column: str, cell: str) -> float:
         raise ValueError(f"invalid {column} value {cell!r}") from None
 
 
-def prior_drinking_index(d_drink: float, d_heavy: float) -> float:
-    """Univariate pre-trial drinking summary in [0, 2].
-
-    Moderate days count once and heavy days twice:
-    ``(d_drink - d_heavy) + 2 * d_heavy``.
-    """
-    if not 0.0 <= d_heavy <= d_drink <= 1.0:
-        raise ValueError(
-            f"need 0 <= d_heavy <= d_drink <= 1, got ({d_drink}, {d_heavy})"
-        )
-    return (d_drink - d_heavy) + 2.0 * d_heavy
-
-
-def standardize(raw, name: str = "") -> tuple:
+def standardize(raw, name: str = "") -> np.ndarray:
     """Center and scale a vector to mean 0 and standard deviation 1/2.
 
     Uses the population sd (divide by n), so an evenly split binary
     covariate maps exactly onto {-1/2, +1/2}.
-
-    Returns
-    -------
-    (standardized, record) : (ndarray, Standardization)
 
     Raises
     ------
@@ -322,40 +290,27 @@ def standardize(raw, name: str = "") -> tuple:
         If the vector is constant.
     """
     raw = np.asarray(raw, dtype=float)
-    mean = float(raw.mean())
     sd = float(raw.std())  # population convention: ddof=0
     if sd == 0.0:
         raise DegenerateCovariateError(
             f"covariate {name or '<unnamed>'} is constant and cannot be standardized"
         )
-    scale = 2.0 * sd
-    return (raw - mean) / scale, Standardization(name=name, mean=mean, scale=scale)
+    return (raw - float(raw.mean())) / (2.0 * sd)
 
 
 def build_design(raw: RawCovariates, n_days: int) -> DesignMatrix:
     """Assemble the standardized (Treatment, Sex, PriorDrinking, Time) design.
 
-    Subject-level covariates are standardized over the subject population;
-    Time (day index 1..T) is standardized over all subject-days, which for
-    a rectangular panel equals standardizing 1..T.
+    PriorDrinking counts moderate pre-trial days once and heavy days twice,
+    ``(d_drink - d_heavy) + 2 * d_heavy``, in [0, 2].  Subject-level
+    covariates are standardized over the subject population; Time (day
+    index 1..T) is standardized over all subject-days, which for a
+    rectangular panel equals standardizing 1..T.
     """
-    n = raw.n_subjects
-    prior = np.array(
-        [prior_drinking_index(d, h) for d, h in zip(raw.d_drink, raw.d_heavy)]
-    )
-    columns = []
-    records = []
-    for name, values in (
-        ("treatment", raw.treatment),
-        ("sex", raw.sex),
-        ("prior_drinking", prior),
-    ):
-        std, rec = standardize(values, name=name)
-        columns.append(np.repeat(std[:, None], n_days, axis=1))
-        records.append(rec)
-    days = np.arange(1, n_days + 1, dtype=float)
-    std_time, rec_time = standardize(days, name="time")
-    columns.append(np.repeat(std_time[None, :], n, axis=0))
-    records.append(rec_time)
-    values = np.stack(columns, axis=2)
-    return DesignMatrix(values=values, standardizations=tuple(records))
+    prior = (raw.d_drink - raw.d_heavy) + 2.0 * raw.d_heavy
+    columns = [np.repeat(standardize(values, name=name)[:, None], n_days, axis=1)
+               for name, values in (("treatment", raw.treatment), ("sex", raw.sex),
+                                    ("prior_drinking", prior))]
+    days = standardize(np.arange(1, n_days + 1, dtype=float), name="time")
+    columns.append(np.repeat(days[None, :], raw.n_subjects, axis=0))
+    return DesignMatrix(values=np.stack(columns, axis=2))

@@ -14,10 +14,13 @@ pass stays in probability space.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .dataset import DesignMatrix, ObservationPanel
-from .model import Params, softmax_rows, transition_logits, transition_matrices
+from .model import (Params, _categorical, softmax_rows, transition_logits,
+                    transition_matrices)
 
 
 def _hmm_factors(codes: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -109,7 +112,8 @@ def _backward_sample_all(filtered: np.ndarray, Q: np.ndarray,
             w = filtered[t] * Q[t].reshape(R, R * N).take(
                 (states[:, t + 1] - 1) * N + cols, axis=1)
             w /= w.sum(axis=0)
-        states[:, t] = (u[:, t] > np.cumsum(w, axis=0)).sum(axis=0) + 1
+        # accumulate adds in order, as np.cumsum does
+        states[:, t] = _categorical(itertools.accumulate(w[:-1]), u[:, t])
     return states
 
 

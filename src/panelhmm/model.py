@@ -38,9 +38,13 @@ from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
 
 _PROB_TOL = 1e-12
-# The order of the arrays in a parameter vector: sorted names, the order
-# the convergence table prints.  Markov parameters have no P.
-LAYOUT = ("P", "alpha", "beta", "mu", "pi", "sigma")
+# Offsets from each array's 0-based indices to its path indices (see
+# :func:`param_paths`), the arrays in sorted order: the order of a
+# parameter vector and of the convergence table.  Markov parameters have
+# no P.
+PATH_OFFSETS = {"P": (1, 1), "alpha": (0, 1, 2), "beta": (1, 2, 0), "mu": (1, 2),
+                "pi": (1,), "sigma": (1, 2)}
+LAYOUT = tuple(PATH_OFFSETS)
 
 
 def _check_simplex(v: np.ndarray, what: str) -> None:
@@ -152,7 +156,6 @@ class SimulatedPanel:
 
     observed: ObservationPanel
     hidden: np.ndarray | None
-    seed: object
 
 
 def softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -285,13 +288,13 @@ def simulate(block: list, design: DesignMatrix, n_subjects: int,
         # accumulate adds in order, as np.cumsum does
         chain[:, :, t + 1] = _categorical(itertools.accumulate(probs[:-1]), days[:, t])
     out = []
-    for params, hidden, rng, seed in zip(block, chain, rngs, seeds):
+    for params, hidden, rng in zip(block, chain, rngs):
         codes = hidden
         if hmm:
             cum = np.cumsum(params.P, axis=1).T[:-1]  # (M-1, S)
             codes = _categorical((c.take(hidden - 1) for c in cum), rng.random((N, T)))
         out.append(SimulatedPanel(observed=_masked_panel(codes, mask, params.m_levels),
-                                  hidden=hidden if hmm else None, seed=seed))
+                                  hidden=hidden if hmm else None))
     return out
 
 
@@ -308,13 +311,9 @@ def _masked_panel(codes: np.ndarray, mask, m_levels: int) -> ObservationPanel:
 #
 # One line per scalar: "<path> <value>".  Paths use 0-based subject indices
 # and 1-based state/level values, e.g. alpha[0,2,3] is subject 0, from-state
-# 2, to-state 3.  Ordering is deterministic (C order per array, arrays in
-# the order alpha, beta, mu, sigma, pi, P).
-
-# Offsets from each array's 0-based indices to its path indices; the
-# diagnose command's acceptance table uses the same paths.
-PATH_OFFSETS = {"alpha": (0, 1, 2), "beta": (1, 2, 0), "mu": (1, 2),
-                "sigma": (1, 2), "pi": (1,), "P": (1, 1)}
+# 2, to-state 3; the diagnose command's convergence table uses the same
+# paths.  Lines follow :attr:`Params.vector`: arrays in :data:`LAYOUT`
+# order, each in C order.  Reading does not depend on the line order.
 
 
 def param_paths(name: str, shape: tuple) -> list:
@@ -340,13 +339,11 @@ def parse_param_path(path: str) -> tuple:
 
 def params_to_text(params) -> str:
     """Serialize parameters to flat key-value text."""
-    lines = [f"# panelhmm-params 1 kind={'markov' if params.P is None else 'hmm'}"]
-    for name in PATH_OFFSETS:
-        a = getattr(params, name)
-        if a is not None:  # Markov parameters have no P
-            lines += [f"{path} {float(v)!r}"
-                      for path, v in zip(param_paths(name, a.shape), a.ravel())]
-    return "\n".join(lines) + "\n"
+    paths = [path for name, shape in params.shapes.items()
+             for path in param_paths(name, shape)]
+    lines = [f"{path} {v!r}" for path, v in zip(paths, params.vector.tolist())]
+    kind = "markov" if params.P is None else "hmm"
+    return "\n".join([f"# panelhmm-params 1 kind={kind}"] + lines) + "\n"
 
 
 def params_from_text(text: str):

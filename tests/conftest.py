@@ -20,8 +20,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def random_design(n_subjects, n_days, rng, p=2):
     """A small standardized-looking design with p covariate columns."""
     values = rng.normal(0.0, 0.5, size=(n_subjects, n_days, p))
-    return DesignMatrix(values=values, standardizations=(),
-                        names=tuple(f"x{j}" for j in range(p)))
+    return DesignMatrix(values=values, names=tuple(f"x{j}" for j in range(p)))
 
 
 def trial_design(n_subjects, n_days, rng):

@@ -142,7 +142,7 @@ def test_criterion_03_ffbs_exactness():
         codes=np.repeat(panel.codes, n_draws, axis=0),
         mask=np.repeat(panel.mask, n_draws, axis=0), m_levels=3)
     big_design = type(design)(values=np.repeat(design.values, n_draws, axis=0),
-                              standardizations=(), names=design.names)
+                              names=design.names)
     big_params = params.copy()
     big_params.alpha = np.repeat(params.alpha, n_draws, axis=0)
     t0 = time.perf_counter()

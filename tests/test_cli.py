@@ -191,9 +191,7 @@ class TestFit:
             design = build(raw, n_days)
             values = design.values.copy()
             values[0, 0, 0] = np.nan
-            return DesignMatrix(values=values,
-                                standardizations=design.standardizations,
-                                names=design.names)
+            return DesignMatrix(values=values, names=design.names)
 
         monkeypatch.setattr(cli, "build_design", nan_design)
         code = main([
@@ -243,6 +241,21 @@ class TestFit:
         ])
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_heavy_within_tolerance_of_drink_fits(self, workspace, tmp_path):
+        # x.csv's proportions are checked once, with RawCovariates' tolerance
+        header, *rows = (workspace / "x.csv").read_text().splitlines()
+        cells = rows[0].split(",")
+        cells[3] = repr(float(cells[2]) + 1e-13)
+        assert float(cells[3]) > float(cells[2])
+        x_edge = tmp_path / "x.csv"
+        x_edge.write_text("\n".join([header, ",".join(cells)] + rows[1:]) + "\n")
+        code = main([
+            "fit", "--y", str(workspace / "y.csv"), "--x", str(x_edge),
+            "--chains", "1", "--burnin", "2", "--keep", "2",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
 
     def test_invalid_data_exits_2(self, workspace, tmp_path):
         y_bad = tmp_path / "y.csv"

@@ -7,24 +7,10 @@ from panelhmm.dataset import (
     build_design,
     load_covariates,
     load_observations,
-    prior_drinking_index,
     save_observations,
     standardize,
 )
 from panelhmm.errors import DegenerateCovariateError, InputError
-
-
-class TestPriorDrinkingIndex:
-    def test_weights_heavy_days_double(self):
-        assert prior_drinking_index(0.0, 0.0) == 0.0
-        assert prior_drinking_index(1.0, 1.0) == 2.0
-        assert prior_drinking_index(0.6, 0.2) == pytest.approx(0.8)
-
-    def test_rejects_inconsistent_proportions(self):
-        with pytest.raises(ValueError):
-            prior_drinking_index(0.2, 0.5)
-        with pytest.raises(ValueError):
-            prior_drinking_index(1.2, 0.1)
 
 
 class TestObservationPanel:
@@ -135,6 +121,10 @@ class TestLoadCovariates:
         with pytest.raises(InputError, match="d_heavy"):
             RawCovariates(treatment=[0], sex=[0], d_drink=[0.2], d_heavy=[0.5])
 
+    def test_proportion_above_one_rejected(self):
+        with pytest.raises(InputError, match="d_drink"):
+            RawCovariates(treatment=[0], sex=[0], d_drink=[1.2], d_heavy=[0.1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["d_drink", "d_heavy"])
     def test_non_finite_proportion_rejected(self, name, bad):
@@ -147,19 +137,13 @@ class TestLoadCovariates:
 class TestStandardize:
     def test_mean_zero_sd_half(self, rng):
         raw = rng.normal(3.0, 2.0, 200)
-        std, rec = standardize(raw, name="v")
+        std = standardize(raw, name="v")
         assert std.mean() == pytest.approx(0.0, abs=1e-12)
         assert std.std() == pytest.approx(0.5, abs=1e-12)
-        assert rec.scale == pytest.approx(2.0 * raw.std())
 
     def test_balanced_binary_maps_to_half_codes(self):
-        std, _ = standardize(np.array([0, 0, 1, 1]))
+        std = standardize(np.array([0, 0, 1, 1]))
         np.testing.assert_allclose(sorted(set(np.round(std, 12))), [-0.5, 0.5])
-
-    def test_unstandardize_inverts(self, rng):
-        raw = rng.normal(size=50)
-        std, rec = standardize(raw)
-        np.testing.assert_allclose(std * rec.scale + rec.mean, raw, atol=1e-12)
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateCovariateError):
@@ -182,6 +166,15 @@ class TestBuildDesign:
         for j in range(3):
             col = design.values[:, :, j]
             assert np.all(col == col[:, :1])
+
+    def test_prior_drinking_weights_heavy_days_double(self):
+        d_drink, d_heavy = [0.0, 1.0, 0.6], [0.0, 1.0, 0.2]
+        raw = RawCovariates(treatment=[0, 1, 0], sex=[1, 0, 0],
+                            d_drink=d_drink, d_heavy=d_heavy)
+        column = build_design(raw, 4).values[:, 0, 2]
+        prior = [(d - h) + 2.0 * h for d, h in zip(d_drink, d_heavy)]
+        np.testing.assert_array_equal(column, standardize(prior))
+        np.testing.assert_allclose(column, standardize([0.0, 2.0, 0.8]), atol=1e-12)
 
     def test_time_column_standardized_over_days(self):
         raw = RawCovariates(treatment=[0, 1], sex=[1, 0],

@@ -5,6 +5,7 @@ import pytest
 
 from panelhmm.dataset import DesignMatrix, ObservationPanel
 from panelhmm.inference import (
+    _backward_sample_all,
     _expected_counts,
     _filter_all,
     _hmm_factors,
@@ -47,7 +48,7 @@ class TestLikelihoodOracle:
             sub_panel = ObservationPanel(codes=panel.codes[i:i + 1],
                                          mask=panel.mask[i:i + 1])
             sub_design = type(design)(values=design.values[i:i + 1],
-                                      standardizations=(), names=design.names)
+                                      names=design.names)
             sub_params = params.copy()
             sub_params.alpha = params.alpha[i:i + 1]
             parts += log_likelihood(sub_panel, sub_design, sub_params)
@@ -187,8 +188,7 @@ class TestViterbi:
                                  mask=mask, m_levels=3)
         values = design.values.copy()
         values[0] = 0.0
-        design = DesignMatrix(values=values, standardizations=(),
-                              names=design.names)
+        design = DesignMatrix(values=values, names=design.names)
         params.alpha[0] = 0.0
         params.pi[...] = 1.0 / 3
         states, log_joint = viterbi(panel, design, params)
@@ -200,8 +200,7 @@ class TestViterbi:
             alone = (
                 ObservationPanel(codes=panel.codes[one], mask=panel.mask[one],
                                  m_levels=3),
-                DesignMatrix(values=design.values[one], standardizations=(),
-                             names=design.names),
+                DesignMatrix(values=design.values[one], names=design.names),
                 Params(alpha=params.alpha[one], beta=params.beta,
                        mu=params.mu, sigma=params.sigma, pi=params.pi,
                        P=params.P),
@@ -239,6 +238,23 @@ class TestFfbs:
         h = draw_complete_data(panel, design, params, rng)[0]
         assert (h == panel.codes).mean() > 0.95
 
+    @pytest.mark.parametrize("n_days", [1, 3])
+    def test_top_uniform_draws_the_last_state(self, n_days):
+        # weights whose running sum ends at 1 - 2**-52, below the largest
+        # uniform rng.random() returns, 1 - 2**-53: no draw may pass the
+        # last state
+        class TopUniform:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        w = np.array([0.7380289979116733, 0.21375794350507327, 0.04821305858325322])
+        assert np.cumsum(w)[-1] == 1.0 - 2.0 ** -52
+        N, R = 4, len(w)
+        filtered = np.repeat(w[None, :, None], n_days, axis=0).repeat(N, axis=2)
+        Q = np.full((n_days - 1, R, R, N), 1.0 / R)
+        states = _backward_sample_all(filtered, Q, TopUniform())
+        np.testing.assert_array_equal(states, np.full((N, n_days), R))
+
 
 def _data_step_by_loops(panel, design, params, u):
     """The data step one subject and one day at a time, from matrices
@@ -263,7 +279,7 @@ def _data_step_by_loops(panel, design, params, u):
             if t < T - 1:
                 w = filtered[t] * Q[t][:, draw[i, t + 1] - 1]
                 w = w / w.sum()
-            draw[i, t] = np.sum(u[i, t] > np.cumsum(w)) + 1
+            draw[i, t] = np.sum(u[i, t] > np.cumsum(w)[:-1]) + 1
     if params.P is None:
         draw[~panel.mask] = panel.codes[~panel.mask]
     return draw, loglik

@@ -828,7 +828,7 @@ class TestChainPool:
         panel, design, _ = random_instance(rng, n_subjects=6, n_days=20)
         values = design.values.copy()
         values[0, 0, 0] = np.nan
-        bad = DesignMatrix(values=values, standardizations=(), names=design.names)
+        bad = DesignMatrix(values=values, names=design.names)
         config = SamplerConfig(n_chains=2, n_burnin=2, n_keep=2)
         with pytest.raises(NumericalError):
             run_chains("hmm", panel, bad, config=config)

@@ -291,7 +291,6 @@ class TestSimulationAgainstLoop:
             np.testing.assert_array_equal(sim.observed.mask, mask)
             if kind == "hmm":
                 np.testing.assert_array_equal(sim.hidden, ref.hidden)
-            assert sim.seed == seed
 
     def test_kind_must_match(self, rng):
         # a block of both kinds would take its kind from its first entry,
