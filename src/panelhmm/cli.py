@@ -45,7 +45,7 @@ def _apply_config(ctx, path) -> None:
                for param in ctx.command.params
                if param.name not in ("y_path", "x_path", "config_path", "out_dir")
                for opt in param.opts}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -172,12 +172,6 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
     _apply_config(ctx, config_path)
     p = ctx.params
     panel, design = _load_data(y_path, x_path, p["missing_token"])
-    if p["model_kind"] == "markov" and p["states"] not in (None, panel.m_levels):
-        raise InputError(
-            f"--states {p['states']}: a Markov model's states are the "
-            f"{panel.m_levels} observed levels"
-        )
-    n_states = panel.m_levels if p["states"] is None else p["states"]
     sampler_config = mcmc.SamplerConfig(
         n_chains=p["chains"], n_burnin=p["burnin"], n_keep=p["keep"],
         seed=p["seed"],
@@ -186,7 +180,7 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
     os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before sampling
     try:
         chain_set = mcmc.run_chains(p["model_kind"], panel, design,
-                                    config=sampler_config, n_states=n_states)
+                                    config=sampler_config, n_states=p["states"])
     except BaseException:
         for path in new_dirs:  # still empty: nothing is written before this
             os.rmdir(path)
@@ -194,9 +188,9 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
     storage.save_chain_set(out_dir, chain_set)
     storage.write_manifest(
         out_dir, "fit",
-        {"model": p["model_kind"], "states": n_states, "chains": p["chains"],
-         "burnin": p["burnin"], "keep": p["keep"], "days": panel.n_days,
-         "missing_token": p["missing_token"]},
+        {"model": p["model_kind"], "states": chain_set.chains[0].shapes["pi"][0],
+         "chains": p["chains"], "burnin": p["burnin"], "keep": p["keep"],
+         "days": panel.n_days, "missing_token": p["missing_token"]},
         {"y": y_path, "x": x_path}, p["seed"],
     )
     click.echo(f"fit complete: {sum(c.n_kept for c in chain_set.chains)} draws "
@@ -210,7 +204,7 @@ def fit(ctx, y_path, x_path, model_kind, states, chains, burnin, keep, seed,
 @click.option("--subjects", type=click.IntRange(min=1), default=None)
 @click.option("--mask-from", "mask_path", type=INPUT_FILE, default=None)
 @click.option("--missing-token", default="NA", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
 def simulate(params_path, x_path, days, subjects, mask_path, missing_token,
              seed, out_dir):
@@ -282,7 +276,7 @@ def diagnose(fit_dir, y_path, x_path, out_dir):
               default="new-subjects", show_default=True)
 @click.option("--draws", type=click.IntRange(min=1), default=None,
               help="Subsample this many posterior draws (evenly spaced).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=OUTPUT_DIR)
 def ppc(fit_dir, y_path, x_path, mode, draws, seed, out_dir):
     """Posterior predictive checks of drinking-pattern statistics."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCovariateError, InputError
+from .errors import InputError
 
 COVARIATE_NAMES = ("treatment", "sex", "prior_drinking", "time")
 M_LEVELS = 3  # diary levels: abstinent, moderate, heavy
@@ -181,9 +181,9 @@ def load_observations(path, missing_token: str = "NA") -> ObservationPanel:
         On ragged rows, invalid cells, out-of-range codes, or an empty
         file; the message cites the first faulty line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
-    rows = []
+    lookup, rows, width = {}, [], None  # lookup: cell text -> code
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -193,30 +193,22 @@ def load_observations(path, missing_token: str = "NA") -> ObservationPanel:
             cells = line.split(";")
         else:
             cells = line.split()
-        rows.append((lineno, cells))
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise InputError(
+                f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})"
+            )
+        # new cell texts in row order, so a row's first faulty cell is reported
+        for cell in sorted(set(cells).difference(lookup), key=cells.index):
+            try:
+                lookup[cell] = _cell_code(cell.strip(), missing_token, M_LEVELS)
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+        rows.append([lookup[c] for c in cells])
     if not rows:
         raise InputError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    ragged = next((r for r, (_, cells) in enumerate(rows) if len(cells) != width),
-                  len(rows))
-    lookup, faults = {}, {}  # cell text -> code (-1 if faulty) / error text
-    for cell in {c for _, cells in rows[:ragged] for c in cells}:
-        try:
-            lookup[cell] = _cell_code(cell.strip(), missing_token, M_LEVELS)
-        except ValueError as exc:
-            lookup[cell], faults[cell] = -1, str(exc)
-    codes = np.array([[lookup[c] for c in cells] for _, cells in rows[:ragged]],
-                     dtype=np.int64)
-    bad = np.flatnonzero((codes < 0).any(axis=1))
-    if bad.size:  # a faulty cell comes before any ragged row
-        r = bad[0]
-        lineno, cells = rows[r]
-        raise InputError(f"{path}:{lineno}: {faults[cells[np.argmax(codes[r] < 0)]]}")
-    if ragged < len(rows):
-        lineno, cells = rows[ragged]
-        raise InputError(
-            f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})"
-        )
+    codes = np.array(rows, dtype=np.int64)
     return ObservationPanel(codes=codes, mask=codes == 0, m_levels=M_LEVELS)
 
 
@@ -238,7 +230,7 @@ def load_covariates(path) -> RawCovariates:
     Sex accepts 0/1 or the strings male/female (female = 1); treatment
     accepts 0/1 or placebo/naltrexone (naltrexone = 1).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty file")
@@ -286,13 +278,13 @@ def standardize(raw, name: str = "") -> np.ndarray:
 
     Raises
     ------
-    DegenerateCovariateError
+    InputError
         If the vector is constant.
     """
     raw = np.asarray(raw, dtype=float)
     sd = float(raw.std())  # population convention: ddof=0
     if sd == 0.0:
-        raise DegenerateCovariateError(
+        raise InputError(
             f"covariate {name or '<unnamed>'} is constant and cannot be standardized"
         )
     return (raw - float(raw.mean())) / (2.0 * sd)

@@ -12,10 +12,6 @@ class InputError(PanelHmmError):
     """Malformed input files, flags, or configuration."""
 
 
-class DegenerateCovariateError(InputError):
-    """A covariate is constant and cannot be standardized."""
-
-
 class NumericalError(PanelHmmError):
     """A numerical operation failed (non-finite values, no stationary
     distribution, undefined diagnostic)."""

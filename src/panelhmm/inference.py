@@ -118,9 +118,8 @@ def _backward_sample_all(filtered: np.ndarray, Q: np.ndarray,
 
 
 def _log_scaling(scaling: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(scaling > 0, np.log(np.where(scaling > 0, scaling, 1.0)),
-                        -np.inf)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the data are impossible
+        return np.log(scaling)
 
 
 def log_likelihood(panel: ObservationPanel, design: DesignMatrix,

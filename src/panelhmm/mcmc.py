@@ -41,7 +41,6 @@ START_STEPS = {"alpha": 0.4, "beta": 0.1}  # random-walk sds before adaptation
 SCALE_STEP = 0.3  # sd of the log scale factor in update_scale_joint
 LOCATION_STEP = 0.15  # sd of the shift in update_location_joint
 _ADAPT_BATCH = 50
-_MEAN_BLOCK = 256  # draws per block of posterior_mean_params: 3 MB at D = 1,488
 EM_MAX_ITER = 500  # Baum-Welch iterations of em_initialize at most
 _DIRICHLET = 1.0  # uniform Dirichlet prior on pi and the emission rows
 
@@ -90,6 +89,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_chains < 1 or self.n_keep < 1 or self.n_burnin < 0:
             raise InputError("chain and iteration counts must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative; got {self.seed}")
 
 
 @dataclass
@@ -152,16 +153,10 @@ class ChainSet:
         """Element-wise posterior mean parameters; probability vectors are
         averaged in probability space and renormalized.
 
-        The draws are summed in order, ``_MEAN_BLOCK`` rows at a time, with
-        the running sum as each block's first row: the same additions as
-        one sum over every draw, without a copy of every draw."""
-        total = None
-        for chain in self.chains:
-            for g in range(0, chain.n_kept, _MEAN_BLOCK):
-                block = chain.values[g:g + _MEAN_BLOCK]
-                if total is not None:
-                    block = np.concatenate([total[None], block])
-                total = block.sum(axis=0)
+        The draws are added one row at a time, in order from the first:
+        the additions of one axis-0 sum over every draw, without a copy
+        of every draw."""
+        total = functools.reduce(np.add, (row for c in self.chains for row in c.values))
         mean = total / sum(c.n_kept for c in self.chains)
         arrays = unpack(mean, self.chains[0].shapes)
         for name in ("pi", "P"):
@@ -346,9 +341,8 @@ def update_alpha(params, rows: list, rng: np.random.Generator,
     independent given the fixed effects.  ``steps`` holds the (R, K)
     proposal sds.  Returns the (R, K) acceptance fractions.
     """
-    N, R, K = params.alpha.shape
-    steps = np.broadcast_to(np.asarray(steps, dtype=float), (R, K))
-    acc = np.zeros((R, K))
+    N = params.alpha.shape[0]
+    acc = np.zeros(params.mu.shape)
     for data, r, k in _blocks(rows):
         d = steps[r, k] * rng.standard_normal(N)
         eta_k, log_denom, dll = data.propose(k, d[data.i_arr])
@@ -369,11 +363,9 @@ def update_beta(params, rows: list, prior: PriorSpec,
     """Univariate random-walk Metropolis update of every fixed effect, with
     the row caches ``rows`` and the (R, K, p) proposal sds ``steps``.
     Returns the (R, K, p) acceptance indicators (0 or 1 per scalar)."""
-    R, K, p = params.beta.shape
-    steps = np.broadcast_to(np.asarray(steps, dtype=float), (R, K, p))
-    acc = np.zeros((R, K, p))
+    acc = np.zeros(params.beta.shape)
     for data, r, k in _blocks(rows):
-        for j in range(p):
+        for j in range(params.beta.shape[2]):
             db = steps[r, k, j] * rng.standard_normal()
             eta_k, log_denom, dll = data.propose(k, data.X[:, j] * db)
             b_old = params.beta[r, k, j]
@@ -564,7 +556,6 @@ def run_chain(panel: ObservationPanel, design: DesignMatrix, prior: PriorSpec,
 
 
 def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
-               prior: PriorSpec | None = None,
                config: SamplerConfig | None = None,
                n_states: int | None = None) -> ChainSet:
     """Run ``config.n_chains`` independently seeded chains.
@@ -578,24 +569,27 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     another.  Either way the output is the same bit for bit, with
     the chains in ``chain_index`` order, and an error raised in a chain
     reaches the caller as the same exception type.  ``n_states`` defaults
-    to the number of observed levels (HMM only; the Markov model's rows
-    are the levels themselves).
+    to the number of observed levels, the Markov model's rows, and only
+    an HMM may have another number.  The prior is :class:`PriorSpec`'s
+    default; :func:`run_chain` takes any other.
     """
-    prior = prior or PriorSpec()
     config = config or SamplerConfig()
+    S = panel.m_levels if n_states is None else n_states
     if model_kind == "hmm":
-        S = n_states if n_states is not None else panel.m_levels
         if S < 1:
             raise InputError(f"{S} hidden states: an HMM needs at least 1")
         anchor = em_initialize(panel, S=S)
     elif model_kind == "markov":
+        if S != panel.m_levels:
+            raise InputError(f"{S} states: a Markov model's states are the "
+                             f"{panel.m_levels} observed levels")
         anchor = empirical_markov_fit(panel)
     else:
         raise InputError(f"unknown model kind {model_kind!r}")
     starts = [init_chain(anchor, panel.n_subjects, design.p, chain_index=c,
                          seed=config.seed)
               for c in range(config.n_chains)]
-    run = functools.partial(run_chain, panel, design, prior, config)
+    run = functools.partial(run_chain, panel, design, PriorSpec(), config)
     indices = range(config.n_chains)
     workers = _chain_workers(config.n_chains)
     if workers == 1:

@@ -390,5 +390,5 @@ def save_params(params, path) -> None:
 
 
 def load_params(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return params_from_text(fh.read())

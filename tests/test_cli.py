@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -266,6 +267,40 @@ class TestFit:
         ])
         assert code == 2
 
+    def test_inputs_with_byte_order_mark_fit(self, workspace, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        for name in ("y.csv", "x.csv", "params.txt"):
+            (tmp_path / name).write_bytes(codecs.BOM_UTF8
+                                          + (workspace / name).read_bytes())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(codecs.BOM_UTF8 + b"chains = 1\nburnin = 2\nkeep = 2\n")
+        code = main([
+            "fit", "--y", str(tmp_path / "y.csv"), "--x", str(tmp_path / "x.csv"),
+            "--config", str(cfg), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())[
+            "config"]["chains"] == 1
+        assert main([
+            "simulate", "--params", str(tmp_path / "params.txt"),
+            "--x", str(tmp_path / "x.csv"), "--days", "12",
+            "--out", str(tmp_path / "sim"),
+        ]) == 0
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2(self, workspace, tmp_path, capsys, where):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        seed = ["--seed", "-1"] if where == "flag" else ["--config", str(cfg)]
+        code = main([
+            "fit", "--y", str(workspace / "y.csv"),
+            "--x", str(workspace / "x.csv"), "--chains", "1", "--burnin", "2",
+            "--keep", "2", *seed, "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDiagnose:
     def test_tables(self, workspace, fitted, tmp_path):
@@ -383,6 +418,15 @@ class TestPpc:
             "ppc", "--fit", str(fitted),
             "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
             "--draws", draws, "--out", str(tmp_path / "ppc"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "ppc").exists()
+
+    def test_negative_seed_exits_2(self, workspace, fitted, tmp_path):
+        code = main([
+            "ppc", "--fit", str(fitted),
+            "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+            "--draws", "2", "--seed", "-1", "--out", str(tmp_path / "ppc"),
         ])
         assert code == 2
         assert not (tmp_path / "ppc").exists()
@@ -660,6 +704,14 @@ class TestSimulate:
         assert code == 2
         assert not (tmp_path / "sim").exists()
 
+    def test_negative_seed_exits_2(self, workspace, tmp_path):
+        code = main([
+            "simulate", "--params", str(workspace / "params.txt"),
+            "--x", str(workspace / "x.csv"), "--days", "12", "--seed", "-1",
+            "--out", str(tmp_path / "sim"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--days", "0"), ("--days", "-3"), ("--days", "1"),

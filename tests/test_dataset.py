@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from panelhmm.dataset import (
     save_observations,
     standardize,
 )
-from panelhmm.errors import DegenerateCovariateError, InputError
+from panelhmm.errors import InputError
 
 
 class TestObservationPanel:
@@ -92,6 +94,21 @@ class TestLoadObservations:
             load_observations(path)
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    texts = {"y.csv": "1,2,NA\n3,1,2\n",
+             "x.csv": "treatment,sex,d_drink,d_heavy\n1,0,0.5,0.2\n0,1,0.4,0.1\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / f"bom_{name}").write_bytes(codecs.BOM_UTF8 + text.encode())
+    plain, bom = (load_observations(tmp_path / f"{p}y.csv") for p in ("", "bom_"))
+    np.testing.assert_array_equal(bom.codes, plain.codes)
+    np.testing.assert_array_equal(bom.mask, plain.mask)
+    plain, bom = (build_design(load_covariates(tmp_path / f"{p}x.csv"), 2).values
+                  for p in ("", "bom_"))
+    assert bom.tobytes() == plain.tobytes()
+
+
 class TestLoadCovariates:
     def test_numeric_and_word_codings(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -146,7 +163,7 @@ class TestStandardize:
         np.testing.assert_allclose(sorted(set(np.round(std, 12))), [-0.5, 0.5])
 
     def test_constant_rejected(self):
-        with pytest.raises(DegenerateCovariateError):
+        with pytest.raises(InputError, match="is constant"):
             standardize(np.ones(10), name="flat")
 
 

@@ -707,18 +707,12 @@ class TestChainOrchestration:
         chain.draws["beta"][..., 1] = 0.0
         assert np.all(chain.params_at(3).beta[..., 1] == 0.0)
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_posterior_mean_in_blocks_is_bitwise_one_sum(self, rng, monkeypatch,
-                                                         block):
-        # blocks of 7 do not divide a chain's 25 draws, so the running sum
-        # crosses a chain boundary mid-block
+    def test_posterior_mean_is_bitwise_one_sum(self, rng):
+        # the running sum crosses from one chain's draws to the next
         _, _, cs = self._small_fit(rng)
-        want = cs.posterior_mean_params()
-        monkeypatch.setattr(mcmc, "_MEAN_BLOCK", block)
         got = cs.posterior_mean_params()
         ref = unpack(np.concatenate([c.values for c in cs.chains]).mean(axis=0),
                      cs.chains[0].shapes)
-        assert got.vector.tobytes() == want.vector.tobytes()
         for name in ("alpha", "beta", "mu", "sigma"):
             assert getattr(got, name).tobytes() == ref[name].tobytes()
 
@@ -760,6 +754,14 @@ class TestChainOrchestration:
         with pytest.raises(InputError):
             run_chains("semi-markov", panel, design,
                        config=SamplerConfig(n_chains=1, n_burnin=1, n_keep=1))
+
+    def test_markov_states_must_be_the_levels(self, rng):
+        panel, design, _ = random_instance(rng)
+        with pytest.raises(InputError, match="4 states: a Markov model's states "
+                                             "are the 3 observed levels"):
+            run_chains("markov", panel, design,
+                       config=SamplerConfig(n_chains=1, n_burnin=1, n_keep=1),
+                       n_states=4)
 
 
 def _start(model_kind, panel, design, config, chain_index):
