@@ -707,12 +707,21 @@ class TestChainOrchestration:
         chain.draws["beta"][..., 1] = 0.0
         assert np.all(chain.params_at(3).beta[..., 1] == 0.0)
 
-    def test_posterior_mean_is_bitwise_one_sum(self, rng):
-        # the running sum crosses from one chain's draws to the next
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_posterior_mean_in_blocks_is_bitwise_one_sum(self, rng, block):
+        # the pooled draws re-split into chains of `block` draws: the
+        # running sum crosses a chain boundary every `block` rows, and 7
+        # does not divide the 50 draws, so the last 1 is left out
         _, _, cs = self._small_fit(rng)
-        got = cs.posterior_mean_params()
-        ref = unpack(np.concatenate([c.values for c in cs.chains]).mean(axis=0),
-                     cs.chains[0].shapes)
+        pooled = np.concatenate([c.values for c in cs.chains])
+        n = pooled.shape[0] - pooled.shape[0] % block
+        shapes = cs.chains[0].shapes
+        blocks = ChainSet([Chain(c, pooled[i:i + block], shapes, np.zeros(block), {})
+                           for c, i in enumerate(range(0, n, block))])
+        got = blocks.posterior_mean_params()
+        ref = unpack(pooled[:n].mean(axis=0), shapes)
+        if n == pooled.shape[0]:
+            assert got.vector.tobytes() == cs.posterior_mean_params().vector.tobytes()
         for name in ("alpha", "beta", "mu", "sigma"):
             assert getattr(got, name).tobytes() == ref[name].tobytes()
 
