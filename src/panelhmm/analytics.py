@@ -8,10 +8,12 @@ day) value, and the difference is averaged over all observations.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import pool
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
 from .model import simulate, softmax_rows, transition_logits
@@ -20,6 +22,7 @@ PPC_BLOCK = 8  # replicates simulated together: a few MB of arrays at paper scal
 STAT_BLOCK_DAYS = 28  # days per block of the per-block PPC statistics
 # transition probabilities per day block of the transition APC: 0.5 MB
 _BLOCK_ELEMENTS = 2 ** 16
+_GAP = 1e-12  # a second eigenvalue this close to modulus 1 means no unique pi
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,6 @@ def _comparison_designs(design: DesignMatrix, input_name: str, u_hi: float,
     return tuple(out)
 
 
-def _draws(chain_set):
-    """Every posterior draw's parameters, in pooled (chain-major) order."""
-    for g in range(chain_set.n_chains * chain_set.n_kept):
-        yield chain_set.params_at(g)
-
-
 def average_transition_difference(chain_set, design: DesignMatrix,
                                   input_name: str, u_hi: float,
                                   u_lo: float) -> np.ndarray:
@@ -77,7 +74,9 @@ def average_transition_difference(chain_set, design: DesignMatrix,
     Each level's probabilities are built and summed one block of days at
     a time (:data:`_BLOCK_ELEMENTS` probabilities per block), from day
     slices of the two designs that overlap by one day, so memory per draw
-    does not grow with the number of days.
+    does not grow with the number of days.  The draws are split into
+    contiguous ranges, one per usable CPU, each computed in its own
+    process; every draw's arithmetic is the same wherever it runs.
     """
     hi, lo = _comparison_designs(design, input_name, u_hi, u_lo)
     N, T1 = design.n_subjects, design.n_days - 1
@@ -85,15 +84,35 @@ def average_transition_difference(chain_set, design: DesignMatrix,
     days = max(1, _BLOCK_ELEMENTS // (R * R * N))
     blocks = [[replace(d, values=d.values[:, t:min(t + days, T1) + 1])
                for t in range(0, T1, days)] for d in (hi, lo)]
-    out = []
-    for params in _draws(chain_set):
-        sums = np.zeros((2, R, R))
-        for total, level in zip(sums, blocks):
-            for block in level:
-                total += softmax_rows(transition_logits(params, block),
-                                      axis=2).sum(axis=(0, 3))
-        out.append((sums[0] - sums[1]) / (T1 * N))
-    return np.stack(out)
+
+    def draw_range(draws):
+        out = np.empty((len(draws), R, R))
+        for row, g in zip(out, draws):
+            params = chain_set.params_at(g)
+            sums = np.zeros((2, R, R))
+            for total, level in zip(sums, blocks):
+                for block in level:
+                    total += softmax_rows(transition_logits(params, block),
+                                          axis=2).sum(axis=(0, 3))
+            row[...] = (sums[0] - sums[1]) / (T1 * N)
+        return out
+
+    ranges = _ranges(chain_set.n_chains * chain_set.n_kept)
+    return np.concatenate(pool.fork_map(draw_range, ranges, len(ranges)))
+
+
+def _ranges(n: int) -> list:
+    """The contiguous ranges that split ``range(n)`` into one per worker
+    of :func:`_range_workers`, for :func:`pool.fork_map` to run."""
+    workers = _range_workers(n)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _range_workers(n: int) -> int:
+    """One worker per usable CPU, but no more than the ``n`` items and no
+    fewer than one (run in process)."""
+    return max(1, min(n, pool.usable_cpus()))
 
 
 def stationary_distribution(Q: np.ndarray) -> np.ndarray:
@@ -103,7 +122,12 @@ def stationary_distribution(Q: np.ndarray) -> np.ndarray:
     shape (..., S).  Every chain must be irreducible and aperiodic;
     reducibility/periodicity is detected through the eigenvalue gap (a
     second eigenvalue of modulus 1) and through the residual of the
-    solution.
+    solution.  Every eigenvalue but the one at 1 has modulus at most
+    ``1 - sum_j min_i Q[i, j]`` (Doeblin's bound), so the eigenvalues are
+    computed only for a stack with a matrix whose sum is within the gap
+    tolerance of 0.  A matrix of positive entries (irreducible and
+    aperiodic by Perron-Frobenius) has a positive sum, but softmax rows
+    can underflow to 0 or come near it.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2]:
@@ -111,10 +135,11 @@ def stationary_distribution(Q: np.ndarray) -> np.ndarray:
     if np.any(Q < 0) or np.any(np.abs(Q.sum(axis=-1) - 1.0) > 1e-9):
         raise InputError("Q must be row-stochastic")
     S = Q.shape[-1]
-    moduli = np.sort(np.abs(np.linalg.eigvals(Q)), axis=-1)
-    if S > 1 and np.any(moduli[..., -2] >= 1.0 - 1e-12):
-        raise NumericalError("chain is reducible or periodic: no unique "
-                             "stationary distribution")
+    if S > 1 and np.any(Q.min(axis=-2).sum(axis=-1) <= _GAP):
+        moduli = np.sort(np.abs(np.linalg.eigvals(Q)), axis=-1)
+        if np.any(moduli[..., -2] >= 1.0 - _GAP):
+            raise NumericalError("chain is reducible or periodic: no unique "
+                                 "stationary distribution")
     A = np.swapaxes(Q - np.eye(S), -1, -2).copy()
     A[..., -1, :] = 1.0
     rhs = np.zeros(Q.shape[:-1] + (1,))
@@ -140,7 +165,8 @@ def average_stationary_difference(chain_set, design: DesignMatrix,
     x_hi, x_lo = (d.values[:, -1, :]
                   for d in _comparison_designs(design, input_name, u_hi, u_lo))
     out = []
-    for params in _draws(chain_set):
+    for g in range(chain_set.n_chains * chain_set.n_kept):
+        params = chain_set.params_at(g)
         pi_hi, pi_lo = (
             stationary_distribution(softmax_rows(
                 params.alpha + np.einsum("rkp,np->nrk", params.beta, x)))
@@ -161,15 +187,30 @@ def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
     :func:`model.simulate`; each is the panel a block of one gives for
     its draw and seed.
     """
+    draws = _replicate_draws(chain_set, mode, draw_indices)
+    for block, seeds in _replicate_blocks(chain_set, draws, mode,
+                                          np.random.default_rng(rng)):
+        yield from simulate(block, design, design.n_subjects, design.n_days,
+                            seeds, mask)
+
+
+def _replicate_draws(chain_set, mode: str, draw_indices) -> list:
+    """The draws to replicate, every draw when ``draw_indices`` is None."""
     if mode not in ("new_subjects", "same_subjects"):
         raise InputError(f"unknown replicate mode {mode!r}")
-    rng = np.random.default_rng(rng)
     if draw_indices is None:
         draw_indices = range(chain_set.n_chains * chain_set.n_kept)
-    draw_indices = list(draw_indices)
-    for start in range(0, len(draw_indices), PPC_BLOCK):
+    return list(draw_indices)
+
+
+def _replicate_blocks(chain_set, draws: list, mode: str, rng):
+    """Yield the parameters and simulation seeds of each block of
+    :data:`PPC_BLOCK` replicates of ``draws``, taking from ``rng`` each
+    draw's new intercepts (``new_subjects``) and then its seed, draw by
+    draw."""
+    for start in range(0, len(draws), PPC_BLOCK):
         block, seeds = [], []
-        for g in draw_indices[start:start + PPC_BLOCK]:
+        for g in draws[start:start + PPC_BLOCK]:
             params = chain_set.params_at(g)
             if mode == "new_subjects":
                 params.alpha = (params.mu[None]
@@ -177,8 +218,7 @@ def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
                                 * rng.standard_normal(params.alpha.shape))
             block.append(params)
             seeds.append(rng.integers(2 ** 63))
-        yield from simulate(block, design, design.n_subjects, design.n_days,
-                            seeds, mask)
+        yield block, seeds
 
 
 def ppc_statistics(panel: ObservationPanel) -> dict:
@@ -238,13 +278,37 @@ def ppc_quantile(observed: float, replicates) -> float:
 def ppc_check(chain_set, design: DesignMatrix, panel: ObservationPanel,
               mode: str = "new_subjects", rng=None, draw_indices=None) -> list:
     """Full posterior-predictive check: observed statistics against their
-    replicate distributions, one :class:`PpcResult` per statistic."""
+    replicate distributions, one :class:`PpcResult` per statistic.
+
+    The replicates are those of :func:`ppc_replicates` with the same
+    arguments.  The draws are split into contiguous ranges, one per
+    usable CPU, and each range's replicates are simulated and summarized
+    in its own process.  This process takes every draw's intercepts and
+    seed from ``rng`` in order, keeping a copy of the generator from the
+    start of each range, and a range's process takes the same values
+    again from that copy; so no process holds more than one block of
+    replicate parameters.
+    """
     observed = ppc_statistics(panel)
+    draws = _replicate_draws(chain_set, mode, draw_indices)
+    rng = np.random.default_rng(rng)
+    ranges = _ranges(len(draws))
+    starts = {}
+    for r in ranges:
+        starts[r.start] = copy.deepcopy(rng)
+        for _ in _replicate_blocks(chain_set, draws[r.start:r.stop], mode, rng):
+            pass
+
+    def replicate_range(r):
+        return [ppc_statistics(sim.observed) for sim in ppc_replicates(
+            chain_set, design, mode=mode, mask=panel.mask, rng=starts[r.start],
+            draw_indices=draws[r.start:r.stop])]
+
     reps = {name: [] for name in observed}
-    for sim in ppc_replicates(chain_set, design, mode=mode, mask=panel.mask,
-                              rng=rng, draw_indices=draw_indices):
-        for name, value in ppc_statistics(sim.observed).items():
-            reps[name].append(value)
+    for stats in pool.fork_map(replicate_range, ranges, len(ranges)):
+        for replicate in stats:
+            for name, value in replicate.items():
+                reps[name].append(value)
     results = []
     for name, value in observed.items():
         r = np.array(reps[name])

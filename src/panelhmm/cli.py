@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import analytics, diagnostics, inference, mcmc, model, storage
-from .dataset import build_design, load_covariates, load_observations
+from .dataset import build_design, load_covariates, load_observations, open_text
 from .errors import InputError, NumericalError, PanelHmmError
 
 SCHEMA_COMMENT = f"# schema-version: {storage.SCHEMA_VERSION}"
@@ -45,7 +45,7 @@ def _apply_config(ctx, path) -> None:
                for param in ctx.command.params
                if param.name not in ("y_path", "x_path", "config_path", "out_dir")
                for opt in param.opts}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -365,8 +365,9 @@ def viterbi(fit_dir, y_path, x_path, out_dir):
     if chain_set.model_kind != "hmm":
         raise InputError("viterbi decoding requires an HMM fit")
     params = chain_set.posterior_mean_params()
-    states, _ = inference.viterbi(panel, design, params)
-    marginals = inference.smoothed_marginals(panel, design, params)
+    arrays = inference.model_arrays(panel, design, params)
+    states, _ = inference.viterbi(panel, design, params, arrays)
+    marginals = inference.smoothed_marginals(panel, design, params, arrays)
     S = params.n_states
     # cell strings by value: observed codes with the token at 0 (missing)
     observed = [_csv_cell(missing_token)] + [str(m) for m in range(1, panel.m_levels + 1)]

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 
@@ -167,6 +168,20 @@ def _cell_code(cell: str, missing_token: str, m_levels: int) -> int:
     return value
 
 
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """``path`` opened to read as UTF-8 text, a leading byte-order mark
+    dropped and ``newline`` as for :func:`open`; text in another encoding
+    is an input error naming the file."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise InputError(f"{path}: not UTF-8 text (byte 0x{byte:02x}); "
+                             "save it as UTF-8") from None
+
+
 def load_observations(path, missing_token: str = "NA") -> ObservationPanel:
     """Load a delimited panel file into an :class:`ObservationPanel`.
 
@@ -181,7 +196,7 @@ def load_observations(path, missing_token: str = "NA") -> ObservationPanel:
         On ragged rows, invalid cells, out-of-range codes, or an empty
         file; the message cites the first faulty line.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     lookup, rows, width = {}, [], None  # lookup: cell text -> code
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -230,7 +245,7 @@ def load_covariates(path) -> RawCovariates:
     Sex accepts 0/1 or the strings male/female (female = 1); treatment
     accepts 0/1 or placebo/naltrexone (naltrexone = 1).
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty file")

@@ -163,27 +163,36 @@ def draw_complete_data(panel: ObservationPanel, design: DesignMatrix,
     return draw, float(_log_scaling(scaling).sum()), eta
 
 
+def model_arrays(panel: ObservationPanel, design: DesignMatrix,
+                 params: Params) -> tuple:
+    """The (R, T, N) likelihood factors and (T-1, R, R, N) transition
+    matrices of ``params`` on the panel and design, which
+    :func:`smoothed_marginals` and :func:`viterbi` take so that a caller
+    of both builds them once."""
+    return _factors(panel, params), transition_matrices(params, design)
+
+
 def smoothed_marginals(panel: ObservationPanel, design: DesignMatrix,
-                       params: Params) -> np.ndarray:
-    """Exact p(H_it = s | Y_obs, theta), shape (N, T, S)."""
-    L = _factors(panel, params)
-    Q = transition_matrices(params, design)
+                       params: Params, arrays: tuple | None = None) -> np.ndarray:
+    """Exact p(H_it = s | Y_obs, theta), shape (N, T, S), from ``arrays``
+    (see :func:`model_arrays`) when given."""
+    L, Q = model_arrays(panel, design, params) if arrays is None else arrays
     smoothed = _filter_all(L, Q, params.pi)[0] * _backward_messages(L, Q)
     total = smoothed.sum(axis=1, keepdims=True)
     return (smoothed / np.where(total > 0, total, 1.0)).transpose(2, 0, 1)
 
 
 def viterbi(panel: ObservationPanel, design: DesignMatrix,
-            params: Params) -> tuple:
+            params: Params, arrays: tuple | None = None) -> tuple:
     """Most likely hidden path per subject (max-product DP, all subjects
     at once): the (N, T) int64 1-based states and the (N,) log joint
-    probability of each path with the observed data.
+    probability of each path with the observed data, from ``arrays``
+    (see :func:`model_arrays`) when given.
 
     Missing days contribute transition terms only.  Ties are broken toward
     the lower state index.
     """
-    L = _factors(panel, params)
-    Q = transition_matrices(params, design)
+    L, Q = model_arrays(panel, design, params) if arrays is None else arrays
     S, T, N = L.shape
     with np.errstate(divide="ignore"):
         logL = np.log(L)

@@ -24,14 +24,11 @@ conditional is SS / chi^2_{n-1}.
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, inference
+from . import diagnostics, inference, pool
 from .dataset import DesignMatrix, ObservationPanel
 from .errors import InputError, NumericalError
 from .model import Params, inverse_softmax, unpack
@@ -589,19 +586,13 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
     starts = [init_chain(anchor, panel.n_subjects, design.p, chain_index=c,
                          seed=config.seed)
               for c in range(config.n_chains)]
-    run = functools.partial(run_chain, panel, design, PriorSpec(), config)
-    indices = range(config.n_chains)
+
+    def chain(c):
+        return run_chain(panel, design, PriorSpec(), config, starts[c],
+                         chain_index=c)
+
     workers = _chain_workers(config.n_chains)
-    if workers == 1:
-        chains = list(map(run, starts, indices))
-    else:
-        # fork: spawn and forkserver start each worker by re-importing the
-        # caller's main module, which re-runs a script without a __main__
-        # guard, and they start slower
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            chains = list(pool.map(run, starts, indices))
-    return ChainSet(chains=chains)
+    return ChainSet(chains=pool.fork_map(chain, range(config.n_chains), workers))
 
 
 def _chain_workers(n_chains: int) -> int:
@@ -610,10 +601,7 @@ def _chain_workers(n_chains: int) -> int:
     chains run, but at most two per usable CPU, since each worker holds
     a whole chain's draws; 1 (run in process) when only one CPU is
     usable or there is no ``fork``."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
+    cpus = pool.usable_cpus()
     return 1 if cpus < 2 else min(n_chains, 2 * cpus)
 
 

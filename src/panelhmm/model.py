@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DesignMatrix, ObservationPanel
+from .dataset import DesignMatrix, ObservationPanel, open_text
 from .errors import InputError, NumericalError
 
 _PROB_TOL = 1e-12
@@ -390,5 +390,5 @@ def save_params(params, path) -> None:
 
 
 def load_params(path):
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         return params_from_text(fh.read())

@@ -1,0 +1,52 @@
+"""The package's one process pool: a function mapped over small tasks in
+worker processes forked from this one.
+
+Fork hands each worker the caller's memory, the function included, so a
+function may be a closure over a whole chain set and nothing but the
+tasks (a chain index, a range of draws) and the results is pickled.
+spawn and forkserver would start each worker by re-importing the
+caller's main module, which re-runs a script without a ``__main__``
+guard, and they start slower.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
+_function = None  # set by the initializer in each worker, never in the caller
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where there is no ``fork``
+    start method, so that :func:`fork_map` runs everything here."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def fork_map(function, tasks, workers: int) -> list:
+    """``[function(task) for task in tasks]``, in task order.
+
+    With ``workers`` above 1 the calls run in that many processes forked
+    from this one; ``function`` reaches them through the pool's
+    initializer, which fork does not pickle.  An exception raised in a
+    call reaches the caller as the same type with the same message.
+    """
+    if workers < 2:
+        return [function(task) for task in tasks]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_adopt,
+                             initargs=(function,)) as pool:
+        return list(pool.map(_call, tasks))
+
+
+def _adopt(function) -> None:
+    global _function
+    _function = function
+
+
+def _call(task):
+    return _function(task)

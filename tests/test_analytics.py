@@ -212,6 +212,29 @@ class TestStationaryDistribution:
         with pytest.raises(NumericalError, match="residual"):
             stationary_distribution(np.array([[0.7, 0.3], [0.1, 0.9]]))
 
+    def test_positive_stack_skips_eigenvalues_with_same_bits(self, rng,
+                                                              monkeypatch):
+        Q = rng.dirichlet(np.ones(3), size=(4, 5, 3))
+        # an irreducible aperiodic cycle with a zero in every column sends
+        # the whole stack through the eigenvalue test
+        cycle = [[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(a.shape) or eigvals(a))
+        tested = stationary_distribution(np.concatenate([Q.reshape(20, 3, 3),
+                                                         [cycle]]))
+        assert calls == [(21, 3, 3)]
+        np.testing.assert_array_equal(stationary_distribution(Q),
+                                      tested[:20].reshape(4, 5, 3))
+        assert calls == [(21, 3, 3)]
+
+    def test_positive_but_nearly_reducible_rejected(self):
+        # every entry is positive, but the chain all but never leaves its
+        # row: the solve alone would return (1, 0) for a pi of (1/2, 1/2)
+        Q = np.array([[1.0, 1e-300], [1e-300, 1.0]])
+        with pytest.raises(NumericalError, match="reducible or periodic"):
+            stationary_distribution(Q)
+
     def test_stack_with_reducible_and_periodic_rejected(self, rng):
         Q = rng.dirichlet(np.ones(2), size=(5, 2))
         Q[1] = np.eye(2)

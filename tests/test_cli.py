@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from panelhmm import cli, storage
+from panelhmm import cli, inference, storage
 from panelhmm.cli import main
 from panelhmm.dataset import (
     DesignMatrix,
@@ -287,6 +287,38 @@ class TestFit:
             "--out", str(tmp_path / "sim"),
         ]) == 0
 
+    @pytest.mark.parametrize("name, encoding", [
+        ("x.csv", "latin-1"),  # a spreadsheet's default "CSV" export
+        ("y.csv", "utf-16"),  # Excel's "Unicode Text"
+        ("run.cfg", "latin-1"),
+        ("params.txt", "utf-16"),
+    ])
+    def test_input_not_utf8_exits_2(self, workspace, tmp_path, capsys, name,
+                                    encoding):
+        paths = {n: str(workspace / n) for n in ("y.csv", "x.csv", "params.txt")}
+        paths["run.cfg"] = str(tmp_path / "ok.cfg")
+        (tmp_path / "ok.cfg").write_text("chains = 1\n")
+        header, *rows = (workspace / "x.csv").read_text().splitlines()
+        text = {"x.csv": "\n".join([header + ",site"]
+                                   + [row + ",Québec" for row in rows]) + "\n",
+                "run.cfg": "chains = 1  # é\n"}.get(name)
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text or (workspace / name).read_text(),
+                                     encoding=encoding)
+        out = tmp_path / "out"
+        if name == "params.txt":
+            argv = ["simulate", "--params", paths[name], "--x", paths["x.csv"],
+                    "--days", "12", "--out", str(out)]
+        else:
+            argv = ["fit", "--y", paths["y.csv"], "--x", paths["x.csv"],
+                    "--config", paths["run.cfg"], "--burnin", "2", "--keep", "2",
+                    "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{paths[name]}: not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exits_2(self, workspace, tmp_path, capsys, where):
         cfg = tmp_path / "run.cfg"
@@ -494,6 +526,17 @@ class TestViterbiCommand:
         assert len(na_rows) == int(panel.mask.sum())
         states = {int(l.split(",")[3]) for l in lines[2:]}
         assert states <= {1, 2, 3}
+
+    def test_model_arrays_built_once(self, workspace, fitted, tmp_path,
+                                     monkeypatch):
+        built = []
+        original = inference.transition_matrices
+        monkeypatch.setattr(inference, "transition_matrices",
+                            lambda *args: built.append(1) or original(*args))
+        assert main(["viterbi", "--fit", str(fitted),
+                     "--y", str(workspace / "y.csv"), "--x", str(workspace / "x.csv"),
+                     "--out", str(tmp_path / "vit")]) == 0
+        assert len(built) == 1
 
     def test_one_state_fit(self, workspace, tmp_path):
         # a one-state HMM has no non-baseline targets, so alpha's last

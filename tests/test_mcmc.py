@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from panelhmm import inference, mcmc
+from panelhmm import analytics, inference, mcmc
 from panelhmm.dataset import DesignMatrix, ObservationPanel
 from panelhmm.diagnostics import effective_sample_size
 from panelhmm.errors import InputError, NumericalError
@@ -843,6 +843,113 @@ class TestChainPool:
         config = SamplerConfig(n_chains=2, n_burnin=2, n_keep=2)
         with pytest.raises(NumericalError):
             run_chains("hmm", panel, bad, config=config)
+
+
+def _draw_set(kind, n_draws, n_subjects, design, rng):
+    """A one-chain set of ``n_draws`` random draws of either model."""
+    draws = [random_hmm_params(n_subjects, 3, 3, design.p, rng) if kind == "hmm"
+             else random_markov_params(n_subjects, 3, design.p, rng)
+             for _ in range(n_draws)]
+    return ChainSet(chains=[Chain(
+        chain_index=0, values=np.stack([q.vector for q in draws]),
+        shapes=draws[0].shapes, deviance=np.zeros(n_draws), acceptance={})])
+
+
+class TestDrawPool:
+    """The transition APC and the PPC over draw ranges in forked workers,
+    against the same calls run in process."""
+
+    @staticmethod
+    def _workers(monkeypatch, n):
+        monkeypatch.setattr(analytics, "_range_workers",
+                            lambda n_items: max(1, min(n_items, n)))
+
+    @pytest.mark.parametrize("kind", ["hmm", "markov"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_transition_apc_equals_in_process(self, monkeypatch, kind, workers):
+        rng = np.random.default_rng(71)
+        panel, design, _ = random_instance(rng, n_subjects=5, n_days=12)
+        cs = _draw_set(kind, 7, 5, design, rng)
+        self._workers(monkeypatch, 1)
+        ref = analytics.average_transition_difference(cs, design, "x1", 0.5, -0.5)
+        self._workers(monkeypatch, workers)
+        got = analytics.average_transition_difference(cs, design, "x1", 0.5, -0.5)
+        assert got.shape == (7, 3, 3)
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("mode", ["new_subjects", "same_subjects"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_ppc_equals_in_process(self, monkeypatch, mode, workers):
+        rng = np.random.default_rng(72)
+        panel, design, _ = random_instance(rng, n_subjects=5, n_days=30,
+                                           missing_rate=0.2)
+        cs = _draw_set("hmm", 12, 5, design, rng)
+        # blocks of 2: each worker simulates its range in more than one block
+        monkeypatch.setattr(analytics, "PPC_BLOCK", 2)
+        draws = [11, 0, 3, 4, 4, 9, 6]
+        ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        self._workers(monkeypatch, 1)
+        ref = analytics.ppc_check(cs, design, panel, mode=mode, rng=ref_rng,
+                                  draw_indices=draws)
+        self._workers(monkeypatch, workers)
+        got = analytics.ppc_check(cs, design, panel, mode=mode, rng=rng,
+                                  draw_indices=draws)
+        # the caller's generator moves on as far as in process
+        assert rng.random() == ref_rng.random()
+        replicates = [analytics.ppc_statistics(sim.observed) for sim in
+                      analytics.ppc_replicates(cs, design, mode=mode, mask=panel.mask,
+                                               rng=np.random.default_rng(8),
+                                               draw_indices=draws)]
+        assert [r.name for r in got] == [r.name for r in ref]
+        for r, expected in zip(got, ref):
+            assert r.replicates.shape == (7,)
+            np.testing.assert_array_equal(r.replicates, expected.replicates)
+            np.testing.assert_array_equal(
+                r.replicates, [values[r.name] for values in replicates])
+            np.testing.assert_array_equal([r.observed, r.quantile],
+                                          [expected.observed, expected.quantile])
+
+    @pytest.mark.parametrize("call", ["apc", "ppc"])
+    def test_worker_error_reaches_caller_unchanged(self, monkeypatch, call):
+        rng = np.random.default_rng(73)
+        panel, design, _ = random_instance(rng, n_subjects=4, n_days=10)
+        cs = _draw_set("hmm", 5, 4, design, rng)
+        values = design.values.copy()
+        values[2, 3, 0] = np.nan  # non-finite logits, x1 is the compared input
+        bad = DesignMatrix(values=values, names=design.names)
+
+        def run():
+            if call == "apc":
+                analytics.average_transition_difference(cs, bad, "x1", 0.5, -0.5)
+            else:
+                analytics.ppc_check(cs, bad, panel, rng=np.random.default_rng(1))
+
+        self._workers(monkeypatch, 1)
+        with pytest.raises(NumericalError) as in_process:
+            run()
+        self._workers(monkeypatch, 2)
+        monkeypatch.setattr(analytics, "PPC_BLOCK", 2)
+        with pytest.raises(NumericalError) as pooled:
+            run()
+        # raised in a worker: the pool chains the worker's traceback to it
+        assert type(pooled.value.__cause__).__name__ == "_RemoteTraceback"
+        assert type(pooled.value) is type(in_process.value)
+        assert str(pooled.value) == str(in_process.value)
+
+    def test_one_worker_per_cpu(self, monkeypatch):
+        # only the count is asked for, so no process starts
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert analytics._range_workers(20) == 2
+        assert analytics._ranges(21) == [range(0, 10), range(10, 21)]
+        assert analytics._range_workers(2) == 2
+        assert analytics._range_workers(1) == 1
+        assert analytics._range_workers(0) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert analytics._range_workers(20) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert analytics._range_workers(20) == 1
 
 
 class TestDevianceReuse:
