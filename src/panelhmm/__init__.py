@@ -36,8 +36,6 @@ from .diagnostics import (
     DicReport,
     deviance,
     dic,
-    effective_sample_size,
-    potential_scale_reduction,
 )
 from .analytics import (
     average_stationary_difference,

@@ -97,22 +97,8 @@ def average_transition_difference(chain_set, design: DesignMatrix,
             row[...] = (sums[0] - sums[1]) / (T1 * N)
         return out
 
-    ranges = _ranges(chain_set.n_chains * chain_set.n_kept)
-    return np.concatenate(pool.fork_map(draw_range, ranges, len(ranges)))
-
-
-def _ranges(n: int) -> list:
-    """The contiguous ranges that split ``range(n)`` into one per worker
-    of :func:`_range_workers`, for :func:`pool.fork_map` to run."""
-    workers = _range_workers(n)
-    bounds = [n * k // workers for k in range(workers + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _range_workers(n: int) -> int:
-    """One worker per usable CPU, but no more than the ``n`` items and no
-    fewer than one (run in process)."""
-    return max(1, min(n, pool.usable_cpus()))
+    ranges = pool.ranges(chain_set.n_chains * chain_set.n_kept)
+    return np.concatenate(pool.fork_map(draw_range, ranges))
 
 
 def stationary_distribution(Q: np.ndarray) -> np.ndarray:
@@ -292,7 +278,7 @@ def ppc_check(chain_set, design: DesignMatrix, panel: ObservationPanel,
     observed = ppc_statistics(panel)
     draws = _replicate_draws(chain_set, mode, draw_indices)
     rng = np.random.default_rng(rng)
-    ranges = _ranges(len(draws))
+    ranges = pool.ranges(len(draws))
     starts = {}
     for r in ranges:
         starts[r.start] = copy.deepcopy(rng)
@@ -305,7 +291,7 @@ def ppc_check(chain_set, design: DesignMatrix, panel: ObservationPanel,
             draw_indices=draws[r.start:r.stop])]
 
     reps = {name: [] for name in observed}
-    for stats in pool.fork_map(replicate_range, ranges, len(ranges)):
+    for stats in pool.fork_map(replicate_range, ranges):
         for replicate in stats:
             for name, value in replicate.items():
                 reps[name].append(value)

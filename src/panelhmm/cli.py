@@ -20,7 +20,8 @@ import click
 import numpy as np
 
 from . import analytics, diagnostics, inference, mcmc, model, storage
-from .dataset import build_design, load_covariates, load_observations, open_text
+from .dataset import (build_design, load_covariates, load_observations, open_text,
+                      save_observations)
 from .errors import InputError, NumericalError, PanelHmmError
 
 SCHEMA_COMMENT = f"# schema-version: {storage.SCHEMA_VERSION}"
@@ -218,7 +219,6 @@ def simulate(params_path, x_path, days, subjects, mask_path, missing_token,
         mask = load_observations(mask_path, missing_token=missing_token).mask[:n, :days]
     sim = model.simulate([params], design, n, days, [seed], mask)[0]
     os.makedirs(out_dir, exist_ok=True)
-    from .dataset import save_observations
     save_observations(sim.observed, os.path.join(out_dir, "y_sim.csv"),
                       missing_token=missing_token)
     if sim.hidden is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .model import param_paths
 
 
@@ -86,35 +86,6 @@ def _ess_rows(traces: np.ndarray) -> np.ndarray:
     total = sums[np.arange(len(sums)), kept]
     ess = np.minimum(n / (1.0 + 2.0 * total), 1.05 * n)
     return np.where(var == 0.0, np.nan, ess)
-
-
-def potential_scale_reduction(traces: np.ndarray) -> float:
-    """R-hat of one scalar parameter from per-chain traces.
-
-    Parameters
-    ----------
-    traces : ndarray, shape (n_chains, n_draws)
-
-    Returns NaN when the within-chain variance is zero (undefined).
-    """
-    traces = np.asarray(traces, dtype=float)
-    if traces.ndim != 2 or traces.shape[0] < 2:
-        raise InputError("need at least 2 chains of equal length")
-    if traces.shape[1] < 10:
-        raise InputError("chains too short for R-hat (need length >= 10)")
-    return float(_rhat_rows(traces[None])[0])
-
-
-def effective_sample_size(trace: np.ndarray) -> float:
-    """ESS via Geyer's initial positive sequence of autocorrelations
-    (see :func:`_ess_rows`).  Constant traces are undefined."""
-    trace = np.asarray(trace, dtype=float)
-    if trace.ndim != 1 or trace.size < 10:
-        raise InputError("trace must be 1-d with length >= 10")
-    ess = float(_ess_rows(trace[None])[0])
-    if np.isnan(ess):
-        raise NumericalError("ESS undefined for a constant trace")
-    return ess
 
 
 def deviance(panel, design, params) -> float:

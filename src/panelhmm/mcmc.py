@@ -559,11 +559,9 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
 
     Chains share the pooled anchor fit but receive per-chain jitter; each
     chain's output depends only on ``(config.seed, chain_index)``, so the
-    result is invariant to execution order.  The chains run in worker
-    processes forked from this one, one per chain up to two per usable
-    CPU (further chains wait for a free worker); with one usable CPU,
-    one chain, or no ``fork`` start method they run here, one after
-    another.  Either way the output is the same bit for bit, with
+    result is invariant to execution order.  The chains run through
+    :func:`pool.fork_map`, which decides how many worker processes to
+    fork, if any.  Either way the output is the same bit for bit, with
     the chains in ``chain_index`` order, and an error raised in a chain
     reaches the caller as the same exception type.  ``n_states`` defaults
     to the number of observed levels, the Markov model's rows, and only
@@ -591,37 +589,4 @@ def run_chains(model_kind: str, panel: ObservationPanel, design: DesignMatrix,
         return run_chain(panel, design, PriorSpec(), config, starts[c],
                          chain_index=c)
 
-    workers = _chain_workers(config.n_chains)
-    return ChainSet(chains=pool.fork_map(chain, range(config.n_chains), workers))
-
-
-def _chain_workers(n_chains: int) -> int:
-    """Worker processes for ``n_chains`` chains: one per chain, so the OS
-    shares the CPUs among all of them and no CPU idles while the last
-    chains run, but at most two per usable CPU, since each worker holds
-    a whole chain's draws; 1 (run in process) when only one CPU is
-    usable or there is no ``fork``."""
-    cpus = pool.usable_cpus()
-    return 1 if cpus < 2 else min(n_chains, 2 * cpus)
-
-
-def sample_params_from_prior(prior: PriorSpec, n_subjects: int, n_rows: int,
-                             n_covariates: int, m_levels: int,
-                             model_kind: str, rng: np.random.Generator):
-    """Draw a full parameter state from the prior (requires a proper
-    sigma prior, nu0 > 0); used for sampler validation."""
-    if prior.sigma_nu0 <= 0:
-        raise InputError("prior sampling requires a proper sigma prior (nu0 > 0)")
-    R, K = n_rows, n_rows - 1
-    sigma2 = (prior.sigma_nu0 * prior.sigma_s0sq
-              / rng.chisquare(prior.sigma_nu0, size=(R, K)))
-    sigma = np.sqrt(sigma2)
-    mu = prior.mu_sd * rng.standard_normal((R, K))
-    alpha = mu[None] + sigma[None] * rng.standard_normal((n_subjects, R, K))
-    beta = prior.beta_sd * rng.standard_normal((R, K, n_covariates))
-    pi = rng.dirichlet(np.full(R, _DIRICHLET))
-    P = None
-    if model_kind == "hmm":
-        P = np.stack([rng.dirichlet(np.full(m_levels, _DIRICHLET))
-                      for _ in range(R)])
-    return Params(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)
+    return ChainSet(chains=pool.fork_map(chain, range(config.n_chains)))

@@ -1,5 +1,6 @@
 """The package's one process pool: a function mapped over small tasks in
-worker processes forked from this one.
+worker processes forked from this one.  How many workers to fork is
+decided here alone.
 
 Fork hands each worker the caller's memory, the function included, so a
 function may be a closure over a whole chain set and nothing but the
@@ -27,14 +28,34 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_map(function, tasks, workers: int) -> list:
+def _workers(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` tasks: one per task, so the OS
+    shares the CPUs among all of them and no CPU idles while the last
+    tasks run, but at most two per usable CPU, since a task may hold a
+    whole chain's draws; fewer than two (run here) for fewer than two
+    tasks or one usable CPU."""
+    cpus = usable_cpus()
+    return 1 if cpus < 2 else min(n_tasks, 2 * cpus)
+
+
+def ranges(n: int) -> list:
+    """The contiguous ranges that split ``range(n)`` into one per usable
+    CPU, but no more than ``n`` and no fewer than one."""
+    k = max(1, min(n, usable_cpus()))
+    bounds = [n * i // k for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def fork_map(function, tasks) -> list:
     """``[function(task) for task in tasks]``, in task order.
 
-    With ``workers`` above 1 the calls run in that many processes forked
-    from this one; ``function`` reaches them through the pool's
-    initializer, which fork does not pickle.  An exception raised in a
-    call reaches the caller as the same type with the same message.
+    The calls run in the :func:`_workers` count of processes forked from
+    this one, or here, one after another, when that count is below two.
+    ``function`` reaches the workers through the pool's initializer,
+    which fork does not pickle.  An exception raised in a call reaches
+    the caller as the same type with the same message.
     """
+    workers = _workers(len(tasks))
     if workers < 2:
         return [function(task) for task in tasks]
     fork = multiprocessing.get_context("fork")

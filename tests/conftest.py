@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from panelhmm import mcmc
 from panelhmm.dataset import DesignMatrix, ObservationPanel, RawCovariates, build_design
+from panelhmm.errors import InputError
 from panelhmm.model import Params, transition_matrices
 
 # acceptance verdict lines, echoed after the test report by the summary hook
@@ -108,6 +110,27 @@ def log_joint_hmm(panel, design, params, hidden):
         obs = ~panel.mask
         ll += np.log(params.P[h[obs] - 1, panel.codes[obs] - 1]).sum()
     return float(ll)
+
+
+def sample_params_from_prior(prior, n_subjects, n_rows, n_covariates, m_levels,
+                             model_kind, rng):
+    """Draw a full parameter state from the prior (requires a proper
+    sigma prior, nu0 > 0); used for sampler validation."""
+    if prior.sigma_nu0 <= 0:
+        raise InputError("prior sampling requires a proper sigma prior (nu0 > 0)")
+    R, K = n_rows, n_rows - 1
+    sigma2 = (prior.sigma_nu0 * prior.sigma_s0sq
+              / rng.chisquare(prior.sigma_nu0, size=(R, K)))
+    sigma = np.sqrt(sigma2)
+    mu = prior.mu_sd * rng.standard_normal((R, K))
+    alpha = mu[None] + sigma[None] * rng.standard_normal((n_subjects, R, K))
+    beta = prior.beta_sd * rng.standard_normal((R, K, n_covariates))
+    pi = rng.dirichlet(np.full(R, mcmc._DIRICHLET))
+    P = None
+    if model_kind == "hmm":
+        P = np.stack([rng.dirichlet(np.full(m_levels, mcmc._DIRICHLET))
+                      for _ in range(R)])
+    return Params(alpha=alpha, beta=beta, mu=mu, sigma=sigma, pi=pi, P=P)
 
 
 @pytest.fixture

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from panelhmm import analytics, inference, mcmc
+from panelhmm import analytics, inference, mcmc, pool
 from panelhmm.dataset import DesignMatrix, ObservationPanel
-from panelhmm.diagnostics import effective_sample_size
+from panelhmm.diagnostics import _ess_rows
 from panelhmm.errors import InputError, NumericalError
 from panelhmm.mcmc import (
     Chain,
@@ -21,7 +21,6 @@ from panelhmm.mcmc import (
     init_chain,
     run_chain,
     run_chains,
-    sample_params_from_prior,
     update_alpha,
     update_beta,
     update_emissions,
@@ -47,6 +46,7 @@ from conftest import (
     random_hmm_params,
     random_instance,
     random_markov_params,
+    sample_params_from_prior,
 )
 
 KS_ALPHA = 1e-3
@@ -641,7 +641,8 @@ class TestMarkovJointDistribution:
         p_values = {}
         for name, values in records.items():
             below = (np.asarray(values) < medians[name]).astype(float)
-            ess = effective_sample_size(below)
+            ess = _ess_rows(below[None])[0]
+            assert np.isfinite(ess), f"{name}: constant indicator trace"
             z = (below.mean() - 0.5) / np.sqrt(0.25 / ess)
             p_values[name] = 2 * stats.norm.sf(abs(z))
         assert min(p_values.values()) > 0.01, p_values
@@ -789,8 +790,9 @@ def _start(model_kind, panel, design, config, chain_index):
 class TestChainPool:
     @pytest.fixture
     def pooled(self, monkeypatch):
-        """Force one worker process per chain, whatever the CPU count."""
-        monkeypatch.setattr(mcmc, "_chain_workers", lambda n_chains: n_chains)
+        """Two usable CPUs, whatever the machine has: one worker process
+        per chain, for up to four chains."""
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
 
     @pytest.mark.parametrize("model_kind", ["hmm", "markov"])
     def test_pooled_equals_in_process(self, rng, pooled, model_kind):
@@ -817,23 +819,23 @@ class TestChainPool:
     def test_one_worker_per_chain_unless_one_cpu(self, monkeypatch):
         # with two CPUs, 3 chains get 3 workers: none waits for a second round
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert mcmc._chain_workers(1) == 1
-        assert mcmc._chain_workers(2) == 2
-        assert mcmc._chain_workers(3) == 3
+        assert pool._workers(1) == 1
+        assert pool._workers(2) == 2
+        assert pool._workers(3) == 3
         # but no more than two per CPU, each holding a whole chain's draws;
         # only the count is asked for, so no process starts
-        assert mcmc._chain_workers(4) == 4
-        assert mcmc._chain_workers(5) == 4
-        assert mcmc._chain_workers(64) == 4
+        assert pool._workers(4) == 4
+        assert pool._workers(5) == 4
+        assert pool._workers(64) == 4
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert mcmc._chain_workers(64) == 16
-        assert mcmc._chain_workers(3) == 3
+        assert pool._workers(64) == 16
+        assert pool._workers(3) == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert mcmc._chain_workers(3) == 1
+        assert pool._workers(3) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        assert mcmc._chain_workers(3) == 1
+        assert pool._workers(3) == 1
 
     def test_worker_error_reaches_caller(self, rng, pooled):
         panel, design, _ = random_instance(rng, n_subjects=6, n_days=20)
@@ -861,8 +863,9 @@ class TestDrawPool:
 
     @staticmethod
     def _workers(monkeypatch, n):
-        monkeypatch.setattr(analytics, "_range_workers",
-                            lambda n_items: max(1, min(n_items, n)))
+        """``n`` usable CPUs: ``n`` draw ranges, each in its own worker
+        when ``n`` is above 1."""
+        monkeypatch.setattr(pool, "usable_cpus", lambda: n)
 
     @pytest.mark.parametrize("kind", ["hmm", "markov"])
     @pytest.mark.parametrize("workers", [2, 3])
@@ -939,18 +942,42 @@ class TestDrawPool:
     def test_one_worker_per_cpu(self, monkeypatch):
         # only the count is asked for, so no process starts
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert analytics._range_workers(20) == 2
-        assert analytics._ranges(21) == [range(0, 10), range(10, 21)]
-        assert analytics._range_workers(2) == 2
-        assert analytics._range_workers(1) == 1
-        assert analytics._range_workers(0) == 1
+        assert pool.ranges(20) == [range(0, 10), range(10, 20)]
+        assert pool.ranges(21) == [range(0, 10), range(10, 21)]
+        assert pool.ranges(2) == [range(0, 1), range(1, 2)]
+        assert pool.ranges(1) == [range(0, 1)]
+        assert pool.ranges(0) == [range(0, 0)]
+        # as many workers as ranges: never more ranges than CPUs
+        assert pool._workers(len(pool.ranges(20))) == 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert analytics._range_workers(20) == 1
+        assert pool.ranges(20) == [range(0, 20)]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        assert analytics._range_workers(20) == 1
+        assert pool.ranges(20) == [range(0, 20)]
 
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs fork")
+class TestForkMap:
+    """Work leaves this process exactly when the worker rule says so."""
+
+    def test_tasks_run_in_workers(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        pids = pool.fork_map(lambda _: os.getpid(), range(3))
+        assert len(pids) == 3
+        assert os.getpid() not in pids
+
+    def test_in_process_for_one_cpu_or_one_task(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+        assert pool.fork_map(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        assert pool.fork_map(lambda _: os.getpid(), range(1)) == [os.getpid()]
+
+    def test_no_tasks(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        assert pool.fork_map(lambda _: os.getpid(), []) == []
 
 class TestDevianceReuse:
     @pytest.mark.parametrize("model_kind", ["hmm", "markov"])
