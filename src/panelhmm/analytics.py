@@ -8,7 +8,6 @@ day) value, and the difference is averaged over all observations.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,7 +117,7 @@ def stationary_distribution(Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2]:
         raise InputError("Q must be square")
-    if np.any(Q < 0) or np.any(np.abs(Q.sum(axis=-1) - 1.0) > 1e-9):
+    if not (np.all(Q >= 0) and np.all(np.abs(Q.sum(axis=-1) - 1.0) <= 1e-9)):
         raise InputError("Q must be row-stochastic")
     S = Q.shape[-1]
     if S > 1 and np.any(Q.min(axis=-2).sum(axis=-1) <= _GAP):
@@ -162,22 +161,25 @@ def average_stationary_difference(chain_set, design: DesignMatrix,
 
 
 def ppc_replicates(chain_set, design: DesignMatrix, mode: str = "new_subjects",
-                   mask: np.ndarray | None = None, rng=None, draw_indices=None):
-    """Yield one replicate panel per posterior draw.
+                   mask: np.ndarray | None = None, seed: int = 0,
+                   draw_indices=None):
+    """Yield one replicate panel per entry of ``draw_indices`` (every
+    posterior draw when None).
 
     ``new_subjects`` draws fresh random intercepts from N(mu, sigma^2) per
-    draw; ``same_subjects`` reuses the draw's own intercepts.  The mask
-    (typically the observed missingness pattern) is applied to every
+    replicate; ``same_subjects`` reuses the draw's own intercepts.  The
+    mask (typically the observed missingness pattern) is applied to every
     replicate so statistics ignore the same cells as the observed data.
-    Replicates are simulated :data:`PPC_BLOCK` at a time by
-    :func:`model.simulate`; each is the panel a block of one gives for
-    its draw and seed.
+    Replicate j, the j-th entry of the draw list, takes its new
+    intercepts and then its simulation from its own generator,
+    ``default_rng((seed, j))``: so a draw listed twice gives two
+    different replicates, and a replicate is the same whatever block or
+    process simulates it.  Replicates are simulated :data:`PPC_BLOCK` at
+    a time by :func:`model.simulate`.
     """
     draws = _replicate_draws(chain_set, mode, draw_indices)
-    for block, seeds in _replicate_blocks(chain_set, draws, mode,
-                                          np.random.default_rng(rng)):
-        yield from simulate(block, design, design.n_subjects, design.n_days,
-                            seeds, mask)
+    yield from _replicate_range(chain_set, design, mode, mask, seed, draws,
+                                range(len(draws)))
 
 
 def _replicate_draws(chain_set, mode: str, draw_indices) -> list:
@@ -189,22 +191,23 @@ def _replicate_draws(chain_set, mode: str, draw_indices) -> list:
     return list(draw_indices)
 
 
-def _replicate_blocks(chain_set, draws: list, mode: str, rng):
-    """Yield the parameters and simulation seeds of each block of
-    :data:`PPC_BLOCK` replicates of ``draws``, taking from ``rng`` each
-    draw's new intercepts (``new_subjects``) and then its seed, draw by
-    draw."""
-    for start in range(0, len(draws), PPC_BLOCK):
-        block, seeds = [], []
-        for g in draws[start:start + PPC_BLOCK]:
-            params = chain_set.params_at(g)
+def _replicate_range(chain_set, design: DesignMatrix, mode: str, mask,
+                     seed: int, draws: list, positions: range):
+    """Yield the replicates of :func:`ppc_replicates` at ``positions`` of
+    ``draws``, one block of :data:`PPC_BLOCK` at a time."""
+    for start in range(positions.start, positions.stop, PPC_BLOCK):
+        block, rngs = [], []
+        for j in range(start, min(start + PPC_BLOCK, positions.stop)):
+            params = chain_set.params_at(draws[j])
+            rng = np.random.default_rng((seed, j))
             if mode == "new_subjects":
                 params.alpha = (params.mu[None]
                                 + params.sigma[None]
                                 * rng.standard_normal(params.alpha.shape))
             block.append(params)
-            seeds.append(rng.integers(2 ** 63))
-        yield block, seeds
+            rngs.append(rng)
+        yield from simulate(block, design, design.n_subjects, design.n_days,
+                            rngs, mask)
 
 
 def ppc_statistics(panel: ObservationPanel) -> dict:
@@ -262,36 +265,26 @@ def ppc_quantile(observed: float, replicates) -> float:
 
 
 def ppc_check(chain_set, design: DesignMatrix, panel: ObservationPanel,
-              mode: str = "new_subjects", rng=None, draw_indices=None) -> list:
+              mode: str = "new_subjects", seed: int = 0,
+              draw_indices=None) -> list:
     """Full posterior-predictive check: observed statistics against their
     replicate distributions, one :class:`PpcResult` per statistic.
 
     The replicates are those of :func:`ppc_replicates` with the same
-    arguments.  The draws are split into contiguous ranges, one per
-    usable CPU, and each range's replicates are simulated and summarized
-    in its own process.  This process takes every draw's intercepts and
-    seed from ``rng`` in order, keeping a copy of the generator from the
-    start of each range, and a range's process takes the same values
-    again from that copy; so no process holds more than one block of
-    replicate parameters.
+    arguments.  The replicate positions are split into contiguous ranges,
+    one per usable CPU, and each range's replicates are simulated and
+    summarized in its own process; since every replicate has its own
+    random stream, the results do not depend on the split.
     """
     observed = ppc_statistics(panel)
     draws = _replicate_draws(chain_set, mode, draw_indices)
-    rng = np.random.default_rng(rng)
-    ranges = pool.ranges(len(draws))
-    starts = {}
-    for r in ranges:
-        starts[r.start] = copy.deepcopy(rng)
-        for _ in _replicate_blocks(chain_set, draws[r.start:r.stop], mode, rng):
-            pass
 
-    def replicate_range(r):
-        return [ppc_statistics(sim.observed) for sim in ppc_replicates(
-            chain_set, design, mode=mode, mask=panel.mask, rng=starts[r.start],
-            draw_indices=draws[r.start:r.stop])]
+    def replicate_range(positions):
+        return [ppc_statistics(sim.observed) for sim in _replicate_range(
+            chain_set, design, mode, panel.mask, seed, draws, positions)]
 
     reps = {name: [] for name in observed}
-    for stats in pool.fork_map(replicate_range, ranges):
+    for stats in pool.fork_map(replicate_range, pool.ranges(len(draws))):
         for replicate in stats:
             for name, value in replicate.items():
                 reps[name].append(value)

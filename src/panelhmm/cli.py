@@ -287,7 +287,7 @@ def ppc(fit_dir, y_path, x_path, mode, draws, seed, out_dir):
         indices = np.linspace(0, total - 1, min(draws, total)).astype(int).tolist()
     results = analytics.ppc_check(
         chain_set, design, panel, mode=mode.replace("-", "_"),
-        rng=np.random.default_rng(seed), draw_indices=indices)
+        seed=seed, draw_indices=indices)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "ppc_replicates.csv"),

@@ -99,6 +99,9 @@ class Params:
         return self.beta.shape[2]
 
     def validate(self) -> None:
+        for name, a in vars(self).items():
+            if a is not None and not np.isfinite(a).all():
+                raise InputError(f"{name} has non-finite entries")
         R = self.n_states
         K = R - 1
         if self.alpha.ndim != 3 or self.alpha.shape[1:] != (R, K):
@@ -246,7 +249,8 @@ def simulate(block: list, design: DesignMatrix, n_subjects: int,
 
     For HMM parameters the hidden states are simulated and emit the
     observations; for Markov parameters the chain is the observations.
-    Each replicate draws from its own ``default_rng(seed)``: ``random(N)``
+    Each replicate draws from its own ``default_rng(seed)`` (a seed may
+    also be a Generator, which is drawn from as it is): ``random(N)``
     for the first day, ``random((T-1, N))`` for the transitions and, for
     the HMM, ``random((N, T))`` for the emissions, so a replicate is the
     same bit for bit whatever block it is simulated in.  Each day one

@@ -397,7 +397,8 @@ def test_criterion_10_ppc_calibration():
                     if k.startswith("block")}
         reps = {k: [] for k in stat_obs}
         for sim in ppc_replicates(cs, design, mode="same_subjects",
-                                  rng=rng, draw_indices=[0] * n_replicates):
+                                  seed=int(rng.integers(2 ** 63)),
+                                  draw_indices=[0] * n_replicates):
             for k, v in ppc_statistics(sim.observed).items():
                 if k.startswith("block"):
                     reps[k].append(v)

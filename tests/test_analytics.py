@@ -194,6 +194,8 @@ class TestStationaryDistribution:
             stationary_distribution(np.ones((2, 3)))
         with pytest.raises(InputError):
             stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
+        with pytest.raises(InputError):
+            stationary_distribution(np.full((2, 2), np.nan))
 
     @pytest.mark.parametrize("S", [2, 3, 5])
     def test_stack_matches_per_matrix_calls(self, rng, S):
@@ -336,7 +338,7 @@ class TestPpcReplicates:
                                                 missing_rate=0.2)
         cs = chain_set_of(params)
         reps = list(ppc_replicates(cs, design, mode="new_subjects",
-                                   mask=panel.mask, rng=rng))
+                                   mask=panel.mask, seed=4))
         assert len(reps) == 1
         np.testing.assert_array_equal(reps[0].observed.mask, panel.mask)
 
@@ -344,8 +346,8 @@ class TestPpcReplicates:
         panel, design, params = random_instance(rng, n_subjects=4, n_days=10)
         cs = chain_set_of(params)
         stored = cs.chains[0].draws["alpha"].copy()
-        list(ppc_replicates(cs, design, mode="same_subjects", rng=rng))
-        list(ppc_replicates(cs, design, mode="new_subjects", rng=rng))
+        list(ppc_replicates(cs, design, mode="same_subjects", seed=4))
+        list(ppc_replicates(cs, design, mode="new_subjects", seed=4))
         # neither mode may corrupt the stored draws
         np.testing.assert_array_equal(cs.chains[0].draws["alpha"], stored)
 
@@ -354,7 +356,7 @@ class TestPpcReplicates:
         cs = run_chains("hmm", panel, design,
                         config=SamplerConfig(n_chains=1, n_burnin=5,
                                              n_keep=10, seed=1))
-        reps = list(ppc_replicates(cs, design, rng=rng, draw_indices=[0, 4, 9]))
+        reps = list(ppc_replicates(cs, design, seed=4, draw_indices=[0, 4, 9]))
         assert len(reps) == 3
 
     @pytest.mark.parametrize("kind", ["hmm", "markov"])
@@ -368,23 +370,29 @@ class TestPpcReplicates:
         draws = [random_hmm_params(6, 3, 3, design.p, rng) if kind == "hmm"
                  else random_markov_params(6, 3, design.p, rng) for _ in range(11)]
         cs = chain_set_of(*draws)
-        reps = list(ppc_replicates(cs, design, mode=mode, mask=panel.mask,
-                                   rng=np.random.default_rng(5)))
-        assert len(reps) == 11
-        master = np.random.default_rng(5)
-        for g, rep in enumerate(reps):
-            params = cs.params_at(g)
-            if mode == "new_subjects":
-                params.alpha = (params.mu[None] + params.sigma[None]
-                                * master.standard_normal(params.alpha.shape))
-            ref = simulate([params], design, 6, 14, [master.integers(2 ** 63)],
-                           panel.mask)[0]
-            np.testing.assert_array_equal(rep.observed.codes, ref.observed.codes)
-            np.testing.assert_array_equal(rep.observed.mask, panel.mask)
-            if kind == "hmm":
-                np.testing.assert_array_equal(rep.hidden, ref.hidden)
-            else:
-                assert rep.hidden is None
+        # every draw once; then draws listed more than once, within a
+        # block (positions 1, 2) and across blocks (7, 8)
+        for draw_indices in (None, [0, 3, 3, 1, 5, 9, 2, 8, 8, 10, 3]):
+            reps = list(ppc_replicates(cs, design, mode=mode, mask=panel.mask,
+                                       seed=5, draw_indices=draw_indices))
+            assert len(reps) == 11
+            for j, rep in enumerate(reps):
+                # replicate j: its own stream (seed, j), its intercepts first
+                rng = np.random.default_rng((5, j))
+                params = cs.params_at(j if draw_indices is None else draw_indices[j])
+                if mode == "new_subjects":
+                    params.alpha = (params.mu[None] + params.sigma[None]
+                                    * rng.standard_normal(params.alpha.shape))
+                ref = simulate([params], design, 6, 14, [rng], panel.mask)[0]
+                np.testing.assert_array_equal(rep.observed.codes, ref.observed.codes)
+                np.testing.assert_array_equal(rep.observed.mask, panel.mask)
+                if kind == "hmm":
+                    np.testing.assert_array_equal(rep.hidden, ref.hidden)
+                else:
+                    assert rep.hidden is None
+        # a repeated draw gives a different replicate at each position
+        for a, b in [(1, 2), (7, 8), (1, 10)]:
+            assert not np.array_equal(reps[a].observed.codes, reps[b].observed.codes)
 
     def test_unknown_mode(self, rng):
         panel, design, params = random_instance(rng)
@@ -396,7 +404,7 @@ class TestPpcReplicates:
         panel, design, params = random_instance(rng, n_subjects=5, n_days=12,
                                                 missing_rate=0.1)
         cs = chain_set_of(params)
-        results = ppc_check(cs, design, panel, rng=np.random.default_rng(3))
+        results = ppc_check(cs, design, panel, seed=3)
         observed = ppc_statistics(panel)
         assert {r.name for r in results} == set(observed)
         for r in results:

@@ -730,13 +730,17 @@ class TestSimulate:
             outs.append((out / "y_sim.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("case", ["only-alpha", "markov-with-P"])
+    @pytest.mark.parametrize("case", ["only-alpha", "markov-with-P", "nan-probability"])
     def test_params_not_matching_kind_exit_2(self, workspace, tmp_path, case):
         lines = (workspace / "params.txt").read_text().splitlines()
         if case == "only-alpha":
             lines = [line for line in lines if line.startswith(("#", "alpha["))]
-        else:
+        elif case == "markov-with-P":
             lines[0] = lines[0].replace("kind=hmm", "kind=markov")
+        else:
+            # NaN passes every comparison of the simplex check
+            lines = [line.split()[0] + " nan" if line.startswith("pi[") else line
+                     for line in lines]
         params_path = tmp_path / "params.txt"
         params_path.write_text("\n".join(lines) + "\n")
         code = main([

@@ -72,8 +72,11 @@ def _set(index, value):
 # (case, field, edit) rejections shared by both models, then the HMM's own
 _INVALID = [
     ("pi-not-simplex", "pi", _set(slice(None), 0.5)),
+    ("pi-nan", "pi", _set(slice(1, None), np.nan)),
     ("sigma-zero", "sigma", _set((0, 0), 0.0)),
     ("sigma-negative", "sigma", _set((2, 1), -0.5)),
+    ("sigma-nan", "sigma", _set((1, 0), np.nan)),
+    ("alpha-nan", "alpha", _set((1, 2, 1), np.nan)),
     ("alpha-shape", "alpha", lambda a: a[:, :, :1]),
     ("beta-shape", "beta", lambda a: a[:2]),
     ("mu-shape", "mu", lambda a: a[:, :1]),
@@ -81,6 +84,7 @@ _INVALID = [
 _INVALID_HMM = [
     ("P-rows", "P", lambda a: a[:2]),
     ("P-not-simplex", "P", _set(1, 0.5)),
+    ("P-nan", "P", _set(1, np.nan)),
 ]
 
 
